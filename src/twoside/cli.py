@@ -1,7 +1,8 @@
 """Command-line front end: run exchanges, attack transcripts, benchmark.
 
 Exit codes: 0 success, 2 usage or validation error, 3 recovered key does not
-match the reference, 4 the attack's linear solve found no solution.
+match the reference (selftest: a check failed), 4 the attack's linear solve
+found no solution.
 
 Every subcommand takes --seed and echoes the seed it used, so any run can be
 replayed exactly.  Benchmark rows are keyed by (params, trial) and each trial
@@ -253,6 +254,8 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read transcript: {exc}")
+    if not isinstance(obj, dict):
+        parser.error("malformed transcript: the top level must be a JSON object")
 
     scheme = obj.get("scheme")
     try:
@@ -405,7 +408,7 @@ def cmd_selftest(parser: argparse.ArgumentParser, args) -> int:
     except AttackError:
         check("twisted attack recovers the key", False)
 
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
 def main(argv=None) -> int:

@@ -360,19 +360,25 @@ def field_from_json(obj: dict) -> FieldCtx:
 # -- exact linear algebra over F_p --
 
 
-def gauss_solve_full(rows, rhs, p: int):
-    """Row-reduce A x = b over F_p.
-
-    Returns (solution, kernel_basis, pivot_cols) with free variables set to
-    zero, or None when the system is inconsistent.  Adding any combination of
-    kernel vectors to the particular solution stays a solution.
-    """
-    r = len(rows)
-    if r == 0 or r != len(rhs):
+def _check_shape(rows, rhs) -> int:
+    """Number of unknowns of the system, after checking that it is rectangular."""
+    if len(rows) == 0 or len(rows) != len(rhs):
         raise ValueError("need equally many rows and right-hand sides, at least one")
     c = len(rows[0])
     if c == 0 or any(len(row) != c for row in rows):
         raise ValueError("rows must be non-empty and equally long")
+    return c
+
+
+def _row_reduce(rows, rhs, p: int):
+    """Forward elimination of [A | b] over F_p, then back-substitution.
+
+    Pivots are taken column by column, leftmost first, and pivot rows are
+    scaled to a leading 1.  Returns (echelon_rows, pivot_cols, solution) with
+    free variables set to zero, or None when the system is inconsistent.
+    """
+    c = _check_shape(rows, rhs)
+    r = len(rows)
     a = [[v % p for v in row] + [rhs[i] % p] for i, row in enumerate(rows)]
     piv_cols: List[int] = []
     row_i = 0
@@ -409,6 +415,54 @@ def gauss_solve_full(rows, rhs, p: int):
             if row[j] and x[j]:
                 s -= row[j] * x[j]
         x[col] = s % p
+    return a, piv_cols, x
+
+
+def _solve_packed_f2(rows, rhs) -> Optional[list]:
+    """gauss_solve for p = 2 on rows packed into ints, eliminated with XOR.
+
+    Bit j of a packed row is the coefficient of unknown j and bit c is the
+    right-hand side, so a row whose lowest set bit is bit c reads 0 = 1.
+    Each step pivots on the leftmost column any remaining row has, and clears
+    that column from every other row (Gauss-Jordan).  A reduced pivot row then
+    holds no other pivot column, so with free variables zero its unknown is
+    its right-hand-side bit.
+    """
+    c = _check_shape(rows, rhs)
+    rhs_bit = 1 << c
+    live = []
+    for row, b in zip(rows, rhs):
+        packed = int("".join("1" if v & 1 else "0" for v in reversed(row)), 2)
+        packed |= (b & 1) << c
+        if packed:
+            live.append(packed)
+    done: List[int] = []
+    while live:
+        bit = min(v & -v for v in live)
+        if bit == rhs_bit:
+            return None
+        pivot = next(v for v in live if v & bit)
+        live = [w for w in (v ^ pivot if v & bit else v for v in live) if w]
+        done = [v ^ pivot if v & bit else v for v in done]
+        done.append(pivot)
+    x = [0] * c
+    for v in done:
+        x[(v & -v).bit_length() - 1] = v >> c
+    return x
+
+
+def gauss_solve_full(rows, rhs, p: int):
+    """Row-reduce A x = b over F_p.
+
+    Returns (solution, kernel_basis, pivot_cols) with free variables set to
+    zero, or None when the system is inconsistent.  Adding any combination of
+    kernel vectors to the particular solution stays a solution.
+    """
+    reduced = _row_reduce(rows, rhs, p)
+    if reduced is None:
+        return None
+    a, piv_cols, x = reduced
+    c = len(x)
     pivot_set = set(piv_cols)
     kernel = []
     for free in range(c):
@@ -429,6 +483,14 @@ def gauss_solve_full(rows, rhs, p: int):
 
 
 def gauss_solve(rows, rhs, p: int) -> Optional[list]:
-    """One solution of A x = b over F_p (free variables zero), or None."""
-    full = gauss_solve_full(rows, rhs, p)
-    return None if full is None else full[0]
+    """The solution of A x = b over F_p with free variables zero, or None.
+
+    This is exactly ``gauss_solve_full(rows, rhs, p)[0]``, without building
+    the kernel basis.  For p = 2 the rows are packed into ints and eliminated
+    with XOR; the free-variables-zero solution depends only on which columns
+    are pivots, so both paths return the same vector.
+    """
+    if p == 2:
+        return _solve_packed_f2(rows, rhs)
+    reduced = _row_reduce(rows, rhs, p)
+    return None if reduced is None else reduced[2]

@@ -210,6 +210,15 @@ def test_attack_malformed_transcript(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "42"])
+def test_attack_rejects_non_object_transcript(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # -- bench ----------------------------------------------------------------------
 
 
@@ -270,6 +279,19 @@ def test_selftest_passes(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.count("PASS") == 4
     assert "FAIL" not in res.stdout
+
+
+def test_selftest_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, twisted_kex
+    from twoside.errors import AttackError
+
+    def fail(*args):
+        raise AttackError("forced failure")
+
+    monkeypatch.setattr(twisted_kex, "attack", fail)
+    assert cli.main(["selftest", "--seed", "1"]) == cli.EXIT_MISMATCH == 3
+    assert "FAIL twisted attack recovers the key" in capsys.readouterr().out
 
 
 def test_usage_error_on_unknown_command(tmp_path):

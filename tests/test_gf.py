@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoside import twisted_kex
 from twoside.gf import (
     FieldCtx,
     element_from_index,
@@ -244,3 +245,48 @@ def test_gauss_shape_validation():
         gauss_solve([(1, 2)], (1, 2), 2)
     with pytest.raises(ValueError):
         gauss_solve([(1, 2), (1,)], (1, 0), 2)
+
+
+# -- gauss_solve against the gauss_solve_full reference -------------------------
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs, p, conflicting) with unreduced entries, some negative.
+
+    p = 2 systems run up to 150 columns, so packed rows span several machine
+    words.  When `conflicting` is set, the first equation is repeated with a
+    right-hand side that differs mod p, so the system has no solution.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    c = draw(st.integers(1, 150 if p == 2 else 10))
+    r = draw(st.integers(1, 8))
+    entry = st.integers(-2 * p, 3 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    rhs = draw(st.lists(entry, min_size=r, max_size=r))
+    conflicting = draw(st.booleans())
+    if conflicting:
+        rows.append(rows[0])
+        rhs.append(rhs[0] + draw(st.integers(1, p - 1)) + p * draw(st.integers(-2, 2)))
+    return rows, rhs, p, conflicting
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_gauss_solve_matches_full_reference(system):
+    rows, rhs, p, conflicting = system
+    full = gauss_solve_full(rows, rhs, p)
+    got = gauss_solve(rows, rhs, p)
+    if conflicting:
+        assert got is None
+    assert got == (None if full is None else full[0])
+
+
+def test_gauss_solve_matches_full_on_attack_system():
+    params = twisted_kex.random_params(2, 4, 6, Random(11))
+    tr = twisted_kex.run_exchange(params, Random(12))
+    rows, rhs, _, _ = twisted_kex.attack_system(params, tr.alice.pk)
+    assert len(rows[0]) > 64
+    got = gauss_solve(rows, rhs, 2)
+    assert got is not None
+    assert got == gauss_solve_full(rows, rhs, 2)[0]
