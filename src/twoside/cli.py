@@ -26,7 +26,7 @@ from .digital import W, value_to_json, w_max_component
 from .errors import AttackError
 from .gf import MAX_DEGREE, MAX_ORDER, gauss_solve, is_prime
 from .solver import LinearSystem, maximal_solution
-from .twisted_ring import MAX_M
+from .twisted_ring import MAX_M, flatten
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,8 +123,8 @@ def _validate_twisted(parser: argparse.ArgumentParser, p: int, fext: int, m: int
 
 
 def _validate_digital(parser: argparse.ArgumentParser, n: int, bound: int) -> None:
-    if n < 1:
-        parser.error("--n must be positive")
+    if not 1 <= n <= digital_kex.MAX_N:
+        parser.error(f"--n must be in 1..{digital_kex.MAX_N}")
     if bound < 1:
         parser.error("--entry-bound must be positive")
 
@@ -212,20 +212,21 @@ def _attack_twisted(obj: dict, dump_path: Optional[str]) -> Tuple[dict, list, in
     reference = tr.shared_key if obj.get("secrets") else None
 
     t_total = time.perf_counter()
+    # the rows and bases depend only on the public parameters: build them once
+    rows, alice_rhs, left_basis, right_basis = twisted_kex.attack_system(
+        params, tr.alice.pk
+    )
+    unknowns, equations = len(rows[0]), len(rows)
+    if dump_path:
+        columns = [[row[c] for row in rows] for c in range(unknowns)]
+        with open(dump_path, "w") as fh:
+            json.dump({"columns": columns, "target": list(alice_rhs)}, fh)
     recovered = []
     solve_ms = 0.0
-    unknowns = equations = 0
-    for target, other in (
-        (tr.alice.pk, tr.bob.pk),
-        (tr.bob.pk, tr.alice.pk),
+    for rhs, other in (
+        (alice_rhs, tr.bob.pk),
+        (flatten(tr.bob.pk), tr.alice.pk),
     ):
-        rows, rhs, left_basis, right_basis = twisted_kex.attack_system(params, target)
-        unknowns, equations = len(rows[0]), len(rows)
-        if dump_path:
-            columns = [[row[c] for row in rows] for c in range(unknowns)]
-            with open(dump_path, "w") as fh:
-                json.dump({"columns": columns, "target": list(rhs)}, fh)
-            dump_path = None
         t0 = time.perf_counter()
         solution = gauss_solve(rows, rhs, params.ctx.field.p)
         solve_ms += (time.perf_counter() - t0) * 1000.0

@@ -33,7 +33,9 @@ def is_value(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= MAX_FINITE
 
 
-@lru_cache(maxsize=None)
+# Bounded so long attack campaigns do not grow it without limit.  One digital
+# attack touches about 3 n^2 distinct values, which fits for n <= 32.
+@lru_cache(maxsize=4096)
 def digit_sum(a):
     """Base-10 digit sum; infinity maps to a sentinel above every finite sum."""
     if a == INF:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .digital import (
     INF,
@@ -35,13 +35,16 @@ from .matrices import (
     circulant_from_json,
     circulant_generators,
     circulant_to_json,
-    flatten_two_sided,
     matrix_from_json,
     matrix_to_json,
+    zeros,
 )
 from .solver import LinearSystem, maximal_solution
 
 DEFAULT_ENTRY_BOUND = 10**9
+
+# Attack memory and time grow as n^4, so a transcript may not declare more.
+MAX_N = 32
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class DigitalParams:
     entry_bound: int = DEFAULT_ENTRY_BOUND
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}")
         if self.matrix.n != self.n:
             raise ValueError("matrix size must match n")
         if self.matrix.sr is not W:
@@ -134,11 +137,34 @@ def run_exchange(params: DigitalParams, rng: Random) -> ExchangeTranscript:
 # -- key recovery from public data only --------------------------------------
 
 
+def _shifted_columns(mat: SemiringMatrix) -> tuple:
+    """Flattened copies of mat with entry (r, c) taken from mat[r - i][c + j].
+
+    One copy per (i, j), row-major in (i, j), indices mod n.
+    """
+    n = mat.n
+    # turned[k][j] is row k rotated left by j
+    turned = [[row[j:] + row[:j] for j in range(n)] for row in mat.rows]
+    return tuple(
+        tuple(v for r in range(n) for v in turned[(r - i) % n][j])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
-    """Flattened products C_i M C_j plus the generators used to build them."""
-    gens = circulant_generators(W, params.n)
-    columns, pairs = flatten_two_sided(params.matrix, gens, gens)
-    return columns, pairs, gens
+    """Flattened products C_i M C_j plus the generators used to build them.
+
+    Over W the unit circulants are permutation matrices: INF * x = x,
+    0 * x = 0 and 0 + x = x, so each entry of C_i M C_j is a single entry of
+    M, namely (C_i M C_j)[r][c] = M[(r - i) mod n][(c + j) mod n].  The
+    columns are built by that index shift, with no semiring arithmetic, and
+    equal flatten_two_sided(params.matrix, gens, gens)[0].
+    """
+    n = params.n
+    gens = circulant_generators(W, n)
+    pairs = tuple((i, j) for i in range(n) for j in range(n))
+    return _shifted_columns(params.matrix), pairs, gens
 
 
 def recover_shared_key(
@@ -148,24 +174,27 @@ def recover_shared_key(
     pairs: tuple,
     gens: tuple,
 ) -> SemiringMatrix:
-    """Replay a solved combination against the other party's public matrix."""
+    """Replay a solved combination against the other party's public matrix.
+
+    Returns the sum of z_k * C_i other_pk C_j with (i, j) = pairs[k].  By the
+    permutation identity of attack_columns (INF * x = x, 0 * x = 0,
+    0 + x = x), each product is an index-shifted copy of other_pk, so no
+    matrix product is formed.  `pairs` and `gens` must be the ones
+    attack_columns returned: the shifted copies are taken in the same
+    row-major (i, j) order, and neither is read otherwise.
+    """
+    add, mul, zero = W.add, W.mul, W.zero
     acc = None
-    cached_i = -1
-    cached_left: Optional[SemiringMatrix] = None
-    for z, (i, j) in zip(solution, pairs):
-        if z == W.zero:
+    for z, col in zip(solution, _shifted_columns(other_pk)):
+        if z == zero:
             continue
-        if i != cached_i:
-            cached_left = gens[i] @ other_pk
-            cached_i = i
-        term = (cached_left @ gens[j]).scale(z)
-        acc = term if acc is None else acc + term
+        term = [mul(z, v) for v in col]
+        acc = term if acc is None else [add(a, b) for a, b in zip(acc, term)]
+    n = params.n
     if acc is None:
         # all-zero combination: the zero matrix
-        from .matrices import zeros
-
-        acc = zeros(W, params.n)
-    return acc
+        return zeros(W, n)
+    return SemiringMatrix(W, tuple(tuple(acc[r * n : (r + 1) * n]) for r in range(n)))
 
 
 def attack(
@@ -237,8 +266,6 @@ def transcript_from_json(obj: dict) -> ExchangeTranscript:
         )
         key = matrix_from_json(secrets["shared_key"], W, value_from_json)
     else:
-        from .matrices import zeros
-
         alice = DigitalKeyPair(placeholder, placeholder, alice_pk)
         bob = DigitalKeyPair(placeholder, placeholder, bob_pk)
         key = zeros(W, params.n)

@@ -8,8 +8,9 @@ implementations that share no code.
 import itertools
 from random import Random
 
-from twoside.digital import INF, digit_sum, w_add, w_mul
+from twoside.digital import INF, W, digit_sum, w_add, w_mul
 from twoside.gf import FieldCtx, f_mul, make_field_ctx
+from twoside.matrices import zeros
 from twoside.twisted_ring import RingCtx, RingElement, cocycle, dihedral_mul
 
 # the twisted acceptance grid: (p, extension degree, dihedral m)
@@ -78,6 +79,20 @@ def naive_mat_mul(sr, a_rows, b_rows):
 
 def mat_rows(mat):
     return [list(row) for row in mat.rows]
+
+
+def dense_replay(solution, other_pk, pairs, gens):
+    """Sum of z_k * (gens[i] @ other_pk @ gens[j]) by dense semiring products.
+
+    The replay as the paper writes it; the zero matrix when every z_k is zero.
+    """
+    acc = None
+    for z, (i, j) in zip(solution, pairs):
+        if z == W.zero:
+            continue
+        term = (gens[i] @ other_pk @ gens[j]).scale(z)
+        acc = term if acc is None else acc + term
+    return zeros(W, other_pk.n) if acc is None else acc
 
 
 BOOL_OR_AND = None  # filled below

@@ -81,6 +81,13 @@ def test_exchange_rejects_composite_p(tmp_path):
     assert "p must be prime" in res.stderr
 
 
+def test_exchange_rejects_n_over_cap(tmp_path):
+    res = run_cli("exchange", "--n", "33", cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "--n must be in 1..32" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_exchange_seed_echoed_without_flag(tmp_path):
     res = run_cli("exchange", "--n", "2", "--out", "t.json", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
@@ -217,6 +224,52 @@ def test_attack_rejects_non_object_transcript(tmp_path, text):
     res = run_cli("attack", str(bad), cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_attack_rejects_transcript_over_n_cap(tmp_path):
+    n = 33
+    mat = {"n": n, "rows": [[1] * n for _ in range(n)]}
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({
+        "scheme": "digital",
+        "params": {"n": n, "entry_bound": 10**9, "matrix": mat},
+        "alice_public": mat,
+        "bob_public": mat,
+        "keys_agree": True,
+    }))
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "n must be in 1..32" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_attack_twisted_builds_basis_products_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, twisted_kex
+
+    out = tmp_path / "t.json"
+    assert cli.main([
+        "exchange", "--scheme", "twisted", "--p", "2", "--fext", "2", "--m", "3",
+        "--seed", "5", "--out", str(out), "--insecure-dump",
+    ]) == 0
+    capsys.readouterr()
+
+    calls = []
+    real = twisted_kex.basis_products
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(twisted_kex, "basis_products", counted)
+    assert cli.main(["attack", str(out)]) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {
+        "scheme", "unknowns", "equations", "solve_ms", "attack_ms",
+        "recovered_keys_agree", "reference_key_present", "attack_key_matches",
+    }
+    assert report["attack_key_matches"] is True
 
 
 # -- bench ----------------------------------------------------------------------

@@ -3,9 +3,12 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twoside.digital import INF, W
+from twoside.digital import INF, MAX_FINITE, W
 from twoside.digital_kex import (
+    MAX_N,
     DigitalParams,
     attack,
     attack_columns,
@@ -14,6 +17,7 @@ from twoside.digital_kex import (
     params_from_json,
     params_to_json,
     random_params,
+    recover_shared_key,
     run_exchange,
     sample_circulant,
     shared_key,
@@ -21,9 +25,16 @@ from twoside.digital_kex import (
     transcript_to_json,
 )
 from twoside.errors import AttackError
-from twoside.matrices import Circulant, SemiringMatrix, identity
+from twoside.matrices import (
+    Circulant,
+    SemiringMatrix,
+    circulant_generators,
+    flatten_two_sided,
+    identity,
+    zeros,
+)
 
-from helpers import mat_rows, naive_mat_mul
+from helpers import dense_replay, mat_rows, naive_mat_mul, random_digit_tie_pair
 
 
 def identity_circulant(n):
@@ -154,6 +165,56 @@ def test_attack_system_shape():
     assert all(len(col) == 16 for col in columns)
 
 
+def w_values(data):
+    """A value strategy weighted towards the edge cases of W's order.
+
+    0 (additive identity), INF (multiplicative identity), one pair of
+    distinct finite values with equal digit sums, shared by every value of
+    the example so that ties meet, and finite values up to MAX_FINITE.
+    """
+    a, b = random_digit_tie_pair(Random(data.draw(st.integers(0, 2**32))))
+    return st.one_of(st.sampled_from([0, INF, a, b]), st.integers(0, MAX_FINITE))
+
+
+def draw_matrix(data, values, n):
+    row = st.lists(values, min_size=n, max_size=n)
+    return SemiringMatrix(W, data.draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_attack_columns_match_dense_products(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    params = DigitalParams(n, draw_matrix(data, w_values(data), n))
+    gens = circulant_generators(W, n)
+    columns, pairs = flatten_two_sided(params.matrix, gens, gens)
+    assert attack_columns(params) == (columns, pairs, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recover_shared_key_matches_dense_replay(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    params = random_params(n, Random(data.draw(st.integers(0, 2**32))))
+    values = w_values(data)
+    other_pk = draw_matrix(data, values, n)
+    solution = tuple(data.draw(st.lists(values, min_size=n * n, max_size=n * n)))
+    _, pairs, gens = attack_columns(params)
+    assert recover_shared_key(params, solution, other_pk, pairs, gens) == dense_replay(
+        solution, other_pk, pairs, gens
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_recover_shared_key_all_zero_solution(n):
+    params = random_params(n, Random(30 + n))
+    _, pairs, gens = attack_columns(params)
+    other_pk = sample_circulant(n, 50, Random(n), inf_prob=0.5).expand()
+    solution = (0,) * (n * n)
+    assert recover_shared_key(params, solution, other_pk, pairs, gens) == zeros(W, n)
+    assert dense_replay(solution, other_pk, pairs, gens) == zeros(W, n)
+
+
 def test_attack_rejects_unreachable_public_matrix():
     rng = Random(15)
     params = random_params(3, rng)
@@ -177,6 +238,9 @@ def test_params_validation():
         DigitalParams(2, SemiringMatrix(W, [[1]]))
     with pytest.raises(ValueError):
         DigitalParams(1, SemiringMatrix(W, [[1]]), entry_bound=0)
+    assert DigitalParams(MAX_N, zeros(W, MAX_N)).n == MAX_N == 32
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.32"):
+        DigitalParams(MAX_N + 1, zeros(W, MAX_N + 1))
 
 
 def test_params_json_round_trip():

@@ -42,6 +42,14 @@ def test_digit_sum_pinned():
     assert digit_sum(5) == 5
 
 
+def test_digit_sum_cache_is_bounded():
+    for v in range(10**15, 10**15 + 5000):
+        assert digit_sum(v) == sum(map(int, str(v)))
+    info = digit_sum.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
 def test_digit_sum_positive_for_positive_values():
     for v in (1, 9, 10, 100, 12345):
         assert digit_sum(v) > 0
