@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from . import digital_kex, twisted_kex
 from .digital import W, value_to_json, w_max_component
 from .errors import AttackError
-from .gf import MAX_DEGREE, MAX_ORDER, gauss_solve, is_prime
+from .gf import MAX_DEGREE, MAX_ORDER, MAX_PRIME, gauss_solve, is_prime
 from .solver import LinearSystem, maximal_solution
 from .twisted_ring import MAX_M, flatten
 
@@ -32,6 +32,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_SOLVER = 4
+
+MAX_TRIALS = 10000
 
 
 def _int_list(text: str) -> List[int]:
@@ -111,15 +113,24 @@ def _single(parser: argparse.ArgumentParser, values: List[int], flag: str) -> in
     return values[0]
 
 
-def _validate_twisted(parser: argparse.ArgumentParser, p: int, fext: int, m: int) -> None:
-    if not is_prime(p):
-        parser.error("p must be prime")
+def _validate_twisted(
+    parser: argparse.ArgumentParser, p: int, fext: int, m: int, attack: bool = False
+) -> None:
+    """Reject a bad ring shape; with attack=True also an over-cap attack system."""
+    # the bound first: trial division of a huge p would run for hours
+    if p > MAX_PRIME or not is_prime(p):
+        parser.error("p must be prime and below 2^16")
     if not 1 <= fext <= MAX_DEGREE:
         parser.error(f"--fext must be in 1..{MAX_DEGREE}")
     if p**fext > MAX_ORDER:
         parser.error(f"field order p^fext must be at most {MAX_ORDER}")
     if not 1 <= m <= MAX_M:
         parser.error(f"--m must be in 1..{MAX_M}")
+    if attack:
+        try:
+            twisted_kex.check_system_size(fext, m)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _validate_digital(parser: argparse.ArgumentParser, n: int, bound: int) -> None:
@@ -320,8 +331,8 @@ def _bench_twisted(p: int, fext: int, m: int, rng: Random) -> Tuple[float, float
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        parser.error(f"--trials must be in 1..{MAX_TRIALS}")
     seed = _pick_seed(args)
 
     if args.scheme == "digital":
@@ -338,7 +349,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args) -> int:
             }
         )
         for p, fx, m in combos:
-            _validate_twisted(parser, p, fx, m)
+            _validate_twisted(parser, p, fx, m, attack=True)
         grid = [f"p={p};fext={fx};m={m}" for p, fx, m in combos]
 
     rows = []

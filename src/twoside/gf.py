@@ -218,7 +218,7 @@ class FieldCtx:
         object.__setattr__(self, "modulus", tuple(self.modulus))
         object.__setattr__(self, "t", tuple(self.t))
         p, n = self.p, self.n
-        if not is_prime(p) or p > MAX_PRIME:
+        if p > MAX_PRIME or not is_prime(p):
             raise ValueError("p must be a prime below 2^16")
         if not 1 <= n <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")
@@ -267,7 +267,7 @@ def make_field_ctx(p: int, n: int, rng) -> FieldCtx:
     """Build a field context; rng may be a seed int or a Random instance."""
     if not isinstance(rng, Random):
         rng = Random(rng)
-    if not is_prime(p) or p > MAX_PRIME:
+    if p > MAX_PRIME or not is_prime(p):
         raise ValueError("p must be a prime below 2^16")
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")

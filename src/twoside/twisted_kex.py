@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .errors import AttackError
-from .gf import gauss_solve, make_field_ctx
+from .gf import f_add, f_mul, f_pow, gauss_solve, make_field_ctx
 from .twisted_ring import (
     RingCtx,
     RingElement,
@@ -37,6 +37,10 @@ from .twisted_ring import (
     sample_element,
     sample_r1,
 )
+
+# cap on unknowns x equations of the attack system: (2, 4, 16) needs 294,912
+# cells, while (2, 8, 64) would need 138M and several GB
+MAX_SYSTEM_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -106,28 +110,95 @@ def run_exchange(params: TwistedParams, rng: Random) -> ExchangeTranscript:
 # -- key recovery from public data only --------------------------------------
 
 
+def _rotated(elem: RingElement, i: int) -> RingElement:
+    """x^i * elem: both halves rotated, (k, l) -> ((k + i) mod m, l), no twist."""
+    m = elem.ctx.m
+    rot, refl = elem.coeffs[:m], elem.coeffs[m:]
+    return RingElement(elem.ctx, rot[-i:] + rot[:-i] + refl[-i:] + refl[:-i])
+
+
+def _times_reflections(elem: RingElement, terms) -> RingElement:
+    """elem * sum(s * x^e y for e, s in terms), by index shifts.
+
+    (c x^k) (x^e y) = c x^{k+e} y and (c x^k y) (x^e y) = c tau^e x^{k-e}.
+    """
+    ctx = elem.ctx
+    m, fld = ctx.m, ctx.field
+    out = [fld.zero] * (2 * m)
+    for e, s in terms:
+        refl_s = f_mul(fld, s, ctx.twist_pows[e])
+        for k in range(m):
+            o = (k + e) % m + m
+            out[o] = f_add(fld, out[o], f_mul(fld, elem.coeffs[k], s))
+            o = (k - e) % m
+            out[o] = f_add(fld, out[o], f_mul(fld, elem.coeffs[k + m], refl_s))
+    return RingElement(ctx, tuple(out))
+
+
+def _orbit(m: int, j: int) -> set:
+    """Rotation exponents of the j-th symmetric orbit sum S_j = x^j y + x^{m-j} y."""
+    return {j, (m - j) % m}
+
+
+def _pair_t_powers(fld) -> list:
+    """t^0 .. t^{2n-2}: the scalars t^a * t^b of a left times a right basis element."""
+    return [f_pow(fld, fld.t, s) for s in range(2 * fld.n - 1)]
+
+
+def check_system_size(n: int, m: int) -> None:
+    """Raise ValueError when the attack system over F_{p^n} with dihedral m
+    has more than MAX_SYSTEM_CELLS unknowns x equations."""
+    unknowns, equations = (n * m) * (n * (m // 2 + 1)), 2 * m * n
+    if unknowns * equations > MAX_SYSTEM_CELLS:
+        raise ValueError(
+            f"attack system of {unknowns} unknowns x {equations} equations "
+            f"exceeds the cap of {MAX_SYSTEM_CELLS} cells"
+        )
+
+
 def basis_products(params: TwistedParams) -> Tuple[SubspaceBasis, SubspaceBasis, list]:
-    """Products L_i * h * R_j for L_i, R_j ranging over the secret-space bases."""
-    left_basis = basis_r1(params.ctx)
-    right_basis = basis_a2(params.ctx)
-    products = []
-    for li in left_basis:
-        li_h = li * params.h
-        for rj in right_basis:
-            products.append(li_h * rj)
+    """Products L * h * R for L, R ranging over the secret-space bases.
+
+    L = t^a x^i (a outer, i inner) and R = t^b S_j (b outer, j inner), with
+    S_j the j-th symmetric orbit sum.  Field scalars are central and x^i
+    acts by an index rotation, so L * h * R = t^{a+b} * rot_i(h * S_j): each
+    product is a rotated, t-power-scaled copy of one of the m//2 + 1
+    elements h * S_j, and equal products share one object.
+    """
+    ctx = params.ctx
+    fld = ctx.field
+    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
+    left_basis = basis_r1(ctx)
+    right_basis = basis_a2(ctx)
+    h_s = [
+        _times_reflections(params.h, [(e, fld.one) for e in _orbit(m, j)])
+        for j in range(w)
+    ]
+    scaled = [[elem.scale(tp) for elem in h_s] for tp in _pair_t_powers(fld)]
+    # rotated[i][a + b][j] = t^{a+b} * rot_i(h * S_j)
+    rotated = [[[_rotated(e, i) for e in row] for row in scaled] for i in range(m)]
+    products = [
+        rotated[i][a + b][j]
+        for a in range(n)
+        for i in range(m)
+        for b in range(n)
+        for j in range(w)
+    ]
     return left_basis, right_basis, products
 
 
 def attack_system(
     params: TwistedParams, target_pk: RingElement
 ) -> Tuple[list, tuple, SubspaceBasis, SubspaceBasis]:
-    """Columns (as F_p coordinate vectors) and right-hand side for the solver."""
+    """Equations as F_p rows, the right-hand side, and the two bases.
+
+    Over the size cap it raises ValueError before building anything.
+    """
+    check_system_size(params.ctx.field.n, params.ctx.m)
     left_basis, right_basis, products = basis_products(params)
-    columns = [flatten(prod) for prod in products]
-    rhs = flatten(target_pk)
-    # gauss_solve wants equations as rows: transpose the column list
-    rows = [tuple(col[r] for col in columns) for r in range(len(rhs))]
-    return rows, rhs, left_basis, right_basis
+    # gauss_solve wants equations as rows: transpose the flattened products
+    rows = list(zip(*(flatten(prod) for prod in products)))
+    return rows, flatten(target_pk), left_basis, right_basis
 
 
 def recover_shared_key(
@@ -137,21 +208,40 @@ def recover_shared_key(
     left_basis: SubspaceBasis,
     right_basis: SubspaceBasis,
 ) -> RingElement:
-    """Replay a solved combination against the other party's public element."""
+    """Replay a solved combination against the other party's public element.
+
+    The key is sum z * L * other_pk * R^adj over the solution.  As in
+    basis_products each term is t^{a+b} * rot_i(other_pk * S_j^adj), so the
+    solution folds into F_{p^n} coefficients c_ij = sum_{a,b} z * t^{a+b}
+    and the key is sum_{i,j} rot_i(c_ij * other_pk * S_j^adj).
+    """
     ctx = params.ctx
-    acc = RingElement.zero(ctx)
+    fld = ctx.field
+    m, w = ctx.m, ctx.m // 2 + 1
     width = len(right_basis)
-    cached_left: Optional[RingElement] = None
-    cached_i = -1
+    t_pows = _pair_t_powers(fld)
+    coeffs = {}
     for idx, z in enumerate(solution):
         if not z:
             continue
-        i, j = divmod(idx, width)
-        if i != cached_i:
-            cached_left = left_basis[i] * other_pk
-            cached_i = i
-        acc = acc + (cached_left * right_basis[j].adjoint()).scale(z)
-    return acc
+        left, right = divmod(idx, width)
+        a, i = divmod(left, m)
+        b, j = divmod(right, w)
+        acc = coeffs.setdefault((i, j), [0] * fld.n)
+        for r, v in enumerate(t_pows[a + b]):
+            acc[r] += z * v
+    adjoint_products = {}  # j -> other_pk * S_j^adj
+    key = RingElement.zero(ctx)
+    for (i, j), acc in coeffs.items():
+        c = tuple(v % fld.p for v in acc)
+        if not any(c):
+            continue
+        if j not in adjoint_products:
+            adjoint_products[j] = _times_reflections(
+                other_pk, [(e, ctx.twist_inv_pows[e]) for e in _orbit(m, j)]
+            )
+        key = key + _rotated(adjoint_products[j].scale(c), i)
+    return key
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:

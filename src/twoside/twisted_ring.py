@@ -19,6 +19,7 @@ on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
@@ -336,7 +337,7 @@ def sample_element(ctx: RingCtx, rng: Random, full_support: bool = True) -> Ring
 
 def flatten(elem: RingElement) -> tuple:
     """All coefficient vectors concatenated into one F_p coordinate vector."""
-    return tuple(c for coeff in elem.coeffs for c in coeff)
+    return tuple(itertools.chain.from_iterable(elem.coeffs))
 
 
 def unflatten(ctx: RingCtx, vec) -> RingElement:

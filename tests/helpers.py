@@ -11,7 +11,14 @@ from random import Random
 from twoside.digital import INF, W, digit_sum, w_add, w_mul
 from twoside.gf import FieldCtx, f_mul, make_field_ctx
 from twoside.matrices import zeros
-from twoside.twisted_ring import RingCtx, RingElement, cocycle, dihedral_mul
+from twoside.twisted_ring import (
+    RingCtx,
+    RingElement,
+    basis_a2,
+    basis_r1,
+    cocycle,
+    dihedral_mul,
+)
 
 # the twisted acceptance grid: (p, extension degree, dihedral m)
 TWISTED_GRID = [(2, 2, 3), (3, 2, 4), (5, 1, 6), (2, 3, 5), (7, 1, 8)]
@@ -155,6 +162,32 @@ def naive_ring_mul(a: RingElement, b: RingElement) -> RingElement:
     for (i, k), c in table.items():
         coeffs[i + m * k] = c
     return RingElement(ctx, tuple(coeffs))
+
+
+def dense_basis_products(params):
+    """(left_basis, right_basis, [(L * h) * R ...]) by generic ring products.
+
+    The build as the paper writes it: left basis outer, right basis inner.
+    """
+    left_basis = basis_r1(params.ctx)
+    right_basis = basis_a2(params.ctx)
+    products = [(li * params.h) * rj for li in left_basis for rj in right_basis]
+    return left_basis, right_basis, products
+
+
+def dense_twisted_replay(params, solution, other_pk, left_basis, right_basis):
+    """Sum of z * (L_i * other_pk) * R_j^adj by generic ring products.
+
+    The replay as the paper writes it; the zero element when every z is zero.
+    """
+    acc = RingElement.zero(params.ctx)
+    width = len(right_basis)
+    for idx, z in enumerate(solution):
+        if z:
+            i, j = divmod(idx, width)
+            term = (left_basis[i] * other_pk) * right_basis[j].adjoint()
+            acc = acc + term.scale(z)
+    return acc
 
 
 def symmetric_reflection_vectors(ctx: RingCtx):

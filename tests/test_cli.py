@@ -26,13 +26,14 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *inherited])}
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "twoside", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=child_env(),
+        timeout=timeout,
     )
 
 
@@ -85,6 +86,17 @@ def test_exchange_rejects_n_over_cap(tmp_path):
     res = run_cli("exchange", "--n", "33", cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "--n must be in 1..32" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_exchange_rejects_huge_prime_promptly(tmp_path):
+    # 2^61 - 1 is prime; trial division of it would run for hours
+    res = run_cli(
+        "exchange", "--scheme", "twisted", "--p", str(2**61 - 1), "--fext", "1",
+        "--m", "3", cwd=tmp_path, timeout=30,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "below 2^16" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -243,6 +255,45 @@ def test_attack_rejects_transcript_over_n_cap(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_attack_rejects_transcript_with_huge_prime_promptly(tmp_path):
+    out = tmp_path / "t.json"
+    res = run_cli(
+        "exchange", "--scheme", "twisted", "--p", "2", "--fext", "2", "--m", "3",
+        "--seed", "3", "--out", str(out), cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    obj = read_json(out)
+    obj["params"]["p"] = 2**61 - 1
+    out.write_text(json.dumps(obj))
+    res = run_cli("attack", str(out), cwd=tmp_path, timeout=30)
+    assert res.returncode == 2, res.stderr
+    assert "below 2^16" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_attack_rejects_transcript_over_system_cap(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC))
+    from random import Random
+
+    from twoside import twisted_kex
+
+    # (2, 8, 64): 135,168 unknowns x 1,024 equations to attack
+    params = twisted_kex.random_params(2, 8, 64, Random(4))
+    public = twisted_kex.params_to_json(params)["h"]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "scheme": "twisted",
+        "params": twisted_kex.params_to_json(params),
+        "alice_public": public,
+        "bob_public": public,
+        "keys_agree": True,
+    }))
+    res = run_cli("attack", str(big), cwd=tmp_path, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "exceeds the cap" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_attack_twisted_builds_basis_products_once(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(SRC))
     from twoside import cli, twisted_kex
@@ -304,6 +355,26 @@ def test_bench_twisted_grid(tmp_path):
     assert len(rows) == 4
     assert all(r["scheme"] == "twisted" for r in rows)
     assert all(r["success"] == "true" for r in rows)
+
+
+def test_bench_rejects_twisted_combo_over_system_cap(tmp_path):
+    res = run_cli(
+        "bench", "--scheme", "twisted", "--p", "2", "--fext", "2,8", "--m", "3,64",
+        "--trials", "1", cwd=tmp_path, timeout=60,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "135168 unknowns x 1024 equations exceeds the cap" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_bench_rejects_trials_over_cap(tmp_path):
+    res = run_cli(
+        "bench", "--scheme", "digital", "--n", "2", "--trials", "10001", cwd=tmp_path,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "--trials must be in 1..10000" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_bench_deterministic_modulo_timing(tmp_path):

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoside import twisted_kex
+from twoside import gf, twisted_kex
 from twoside.gf import (
     FieldCtx,
     element_from_index,
@@ -108,6 +108,22 @@ def test_field_ctx_validation():
         make_field_ctx(2, 25, Random(0))  # degree too large
     with pytest.raises(ValueError):
         FieldCtx(2, 2, (1, 0, 1), (0, 1))  # reducible modulus
+
+
+def test_field_ctx_rejects_huge_prime_before_trial_division(monkeypatch):
+    # 2^61 - 1 is prime; trial division of it would run for hours
+    huge = 2**61 - 1
+    real = gf.is_prime
+
+    def guarded(num):
+        assert num <= gf.MAX_PRIME, "trial division of a p over the cap"
+        return real(num)
+
+    monkeypatch.setattr(gf, "is_prime", guarded)
+    with pytest.raises(ValueError, match="prime below 2"):
+        FieldCtx(huge, 1, (0, 1), (1,))
+    with pytest.raises(ValueError, match="prime below 2"):
+        make_field_ctx(huge, 1, Random(0))
 
 
 # -- arithmetic ------------------------------------------------------------------

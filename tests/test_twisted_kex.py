@@ -1,12 +1,17 @@
 """Twisted group-ring key exchange, honest runs and the linear-algebra attack."""
 
+import tracemalloc
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoside import twisted_kex
 from twoside.errors import AttackError
 from twoside.gf import gauss_solve, gauss_solve_full
 from twoside.twisted_kex import (
+    MAX_SYSTEM_CELLS,
     TwistedParams,
     attack,
     attack_system,
@@ -22,14 +27,23 @@ from twoside.twisted_kex import (
     transcript_from_json,
     transcript_to_json,
 )
+from twoside.gf import element_from_index
 from twoside.twisted_ring import (
     RingElement,
+    basis_a2,
+    basis_r1,
     flatten,
     make_ring_ctx,
     sample_element,
 )
 
-from helpers import TWISTED_GRID, make_test_field, naive_ring_mul
+from helpers import (
+    TWISTED_GRID,
+    dense_basis_products,
+    dense_twisted_replay,
+    make_test_field,
+    naive_ring_mul,
+)
 
 
 def fixed_params(p, n, m, seed=99, h_seed=7):
@@ -225,6 +239,99 @@ def test_basis_products_count():
     params = fixed_params(2, 2, 3)
     left_basis, right_basis, products = basis_products(params)
     assert len(products) == len(left_basis) * len(right_basis)
+
+
+# -- index-shift build and replay against the generic ring products ---------------
+
+
+def draw_element(data, ctx, support):
+    """A ring element with every coefficient nonzero, some zero, or all zero."""
+    order = ctx.field.order
+    index = {
+        "full": st.integers(1, order - 1),
+        "sparse": st.one_of(st.just(0), st.integers(1, order - 1)),
+        "zero": st.just(0),
+    }[support]
+    coeffs = data.draw(st.lists(index, min_size=ctx.group_size, max_size=ctx.group_size))
+    return RingElement(ctx, tuple(element_from_index(ctx.field, c) for c in coeffs))
+
+
+def draw_params(data, max_m=8):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    n = data.draw(st.integers(1, 3), label="n")
+    m = data.draw(st.integers(1, max_m), label="m")
+    ctx = make_ring_ctx(make_test_field(p, n), m)
+    support = data.draw(st.sampled_from(["full", "sparse", "zero"]), label="h")
+    return TwistedParams(ctx, draw_element(data, ctx, support))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_products_match_dense_products(data):
+    params = draw_params(data)
+    assert basis_products(params) == dense_basis_products(params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_attack_system_rows_are_dense_columns_transposed(data):
+    params = draw_params(data)
+    target = draw_element(data, params.ctx, "sparse")
+    left_basis, right_basis, products = dense_basis_products(params)
+    columns = [flatten(prod) for prod in products]
+    rows = [tuple(col[r] for col in columns) for r in range(len(columns[0]))]
+    assert attack_system(params, target) == (rows, flatten(target), left_basis, right_basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recover_shared_key_matches_dense_replay(data):
+    params = draw_params(data, max_m=6)
+    ctx = params.ctx
+    other_pk = draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse"])))
+    left_basis, right_basis = basis_r1(ctx), basis_a2(ctx)
+    size = len(left_basis) * len(right_basis)
+    p = ctx.field.p
+    solution = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    assert recover_shared_key(
+        params, solution, other_pk, left_basis, right_basis
+    ) == dense_twisted_replay(params, solution, other_pk, left_basis, right_basis)
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 1, 1), (3, 2, 4), (7, 1, 8)])
+def test_recover_shared_key_all_zero_solution(p, n, m):
+    params = fixed_params(p, n, m)
+    left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
+    solution = [0] * (len(left_basis) * len(right_basis))
+    zero = RingElement.zero(params.ctx)
+    assert recover_shared_key(params, solution, params.h, left_basis, right_basis) == zero
+    assert dense_twisted_replay(params, solution, params.h, left_basis, right_basis) == zero
+
+
+def test_attack_system_size_cap(monkeypatch):
+    # (2, 4, 16): 2,304 unknowns x 128 equations = 294,912 cells, under the cap
+    params = fixed_params(2, 4, 16)
+    rows, _, _, _ = attack_system(params, params.h)
+    assert (len(rows[0]), len(rows)) == (2304, 128)
+    assert 2304 * 128 <= MAX_SYSTEM_CELLS
+
+    ctx = make_ring_ctx(make_test_field(2, 8), 64)
+    params = TwistedParams(ctx, RingElement.one(ctx))
+
+    def fail(params):
+        raise AssertionError("basis products built for an over-cap system")
+
+    monkeypatch.setattr(twisted_kex, "basis_products", fail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="135168 unknowns x 1024 equations"):
+            attack_system(params, params.h)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            attack(params, params.h, params.h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- serialization ----------------------------------------------------------------
