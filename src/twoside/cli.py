@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 import time
 from random import Random, SystemRandom
 from typing import List, Optional, Tuple
 
 from . import digital_kex, twisted_kex
-from .digital import W, value_to_json, w_max_component
-from .errors import AttackError
+from .digital import value_to_json
+from .errors import AttackError, SizeCapError
 from .gf import MAX_DEGREE, MAX_ORDER, MAX_PRIME, gauss_solve, is_prime
-from .solver import LinearSystem, maximal_solution
 from .twisted_ring import MAX_M, flatten
 
 EXIT_OK = 0
@@ -173,32 +174,28 @@ def cmd_exchange(parser: argparse.ArgumentParser, args) -> int:
 def _attack_digital(obj: dict, dump_path: Optional[str]) -> Tuple[dict, list, int]:
     tr = digital_kex.transcript_from_json(obj)
     params = tr.params
-    reference = None
-    secrets = obj.get("secrets")
-    if secrets:
-        reference = tr.shared_key
+    reference = tr.shared_key if obj.get("secrets") else None
 
     t_total = time.perf_counter()
-    columns, pairs, gens = digital_kex.attack_columns(params)
+    if dump_path:
+        columns = digital_kex.attack_columns(params)[0]
+        with open(dump_path, "w") as fh:
+            json.dump(
+                {
+                    "columns": [[value_to_json(v) for v in col] for col in columns],
+                    "target": [value_to_json(v) for v in tr.alice.pk.flat()],
+                },
+                fh,
+            )
+    pairs, gens = digital_kex.generators(params.n)
     recovered = []
     solve_ms = 0.0
     for target, other in (
         (tr.alice.pk, tr.bob.pk),
         (tr.bob.pk, tr.alice.pk),
     ):
-        system = LinearSystem(columns, target.flat())
-        if dump_path:
-            with open(dump_path, "w") as fh:
-                json.dump(
-                    {
-                        "columns": [[value_to_json(v) for v in col] for col in system.columns],
-                        "target": [value_to_json(v) for v in system.target],
-                    },
-                    fh,
-                )
-            dump_path = None  # first system only
         t0 = time.perf_counter()
-        solution = maximal_solution(system, W, w_max_component)
+        solution = digital_kex.solve(params, target)
         solve_ms += (time.perf_counter() - t0) * 1000.0
         if solution is None:
             raise AttackError("no solution for a public matrix")
@@ -207,10 +204,11 @@ def _attack_digital(obj: dict, dump_path: Optional[str]) -> Tuple[dict, list, in
         )
     attack_ms = (time.perf_counter() - t_total) * 1000.0
 
+    unknowns = params.n * params.n
     report = {
         "scheme": "digital",
-        "unknowns": len(columns),
-        "equations": len(columns[0]),
+        "unknowns": unknowns,
+        "equations": unknowns,
         "solve_ms": round(solve_ms, 3),
         "attack_ms": round(attack_ms, 3),
     }
@@ -280,6 +278,8 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
     except AttackError as exc:
         print(json.dumps({"scheme": scheme, "error": str(exc)}, indent=2))
         return EXIT_SOLVER
+    except SizeCapError as exc:
+        parser.error(f"transcript too large to attack: {exc}")
     except (KeyError, ValueError, TypeError) as exc:
         parser.error(f"malformed transcript: {exc}")
 
@@ -299,14 +299,13 @@ def _bench_digital(n: int, bound: int, rng: Random) -> Tuple[float, float, bool]
     params = digital_kex.random_params(n, rng, bound)
     tr = digital_kex.run_exchange(params, rng)
     t_total = time.perf_counter()
-    columns, pairs, gens = digital_kex.attack_columns(params)
-    system = LinearSystem(columns, tr.alice.pk.flat())
-    t0 = time.perf_counter()
-    solution = maximal_solution(system, W, w_max_component)
-    solve_ms = (time.perf_counter() - t0) * 1000.0
+    solution = digital_kex.solve(params, tr.alice.pk)
+    solve_ms = (time.perf_counter() - t_total) * 1000.0
     ok = solution is not None
     if ok:
-        key = digital_kex.recover_shared_key(params, solution, tr.bob.pk, pairs, gens)
+        key = digital_kex.recover_shared_key(
+            params, solution, tr.bob.pk, *digital_kex.generators(n)
+        )
         ok = key == tr.shared_key and tr.keys_agree
     attack_ms = (time.perf_counter() - t_total) * 1000.0
     return solve_ms, attack_ms, ok
@@ -336,18 +335,23 @@ def cmd_bench(parser: argparse.ArgumentParser, args) -> int:
     seed = _pick_seed(args)
 
     if args.scheme == "digital":
-        grid = [f"n={n}" for n in sorted(set(args.n))]
-        for n in sorted(set(args.n)):
+        axes = (sorted(set(args.n)),)
+    else:
+        axes = (sorted(set(args.p)), sorted(set(args.fext)), sorted(set(args.m)))
+    # counted before the grid is formed: the lists multiply
+    size = math.prod(map(len, axes))
+    if size * args.trials > MAX_TRIALS:
+        parser.error(
+            f"a grid of {size} combos x {args.trials} trials exceeds the cap of "
+            f"{MAX_TRIALS} trials"
+        )
+
+    if args.scheme == "digital":
+        grid = [f"n={n}" for n in axes[0]]
+        for n in axes[0]:
             _validate_digital(parser, n, args.entry_bound)
     else:
-        combos = sorted(
-            {
-                (p, fx, m)
-                for p in args.p
-                for fx in args.fext
-                for m in args.m
-            }
-        )
+        combos = list(itertools.product(*axes))
         for p, fx, m in combos:
             _validate_twisted(parser, p, fx, m, attack=True)
         grid = [f"p={p};fext={fx};m={m}" for p, fx, m in combos]

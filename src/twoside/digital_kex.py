@@ -23,10 +23,10 @@ from .digital import (
     INF,
     MAX_FINITE,
     W,
+    digit_sum,
     is_value,
     value_from_json,
     value_to_json,
-    w_max_component,
 )
 from .errors import AttackError
 from .matrices import (
@@ -39,7 +39,6 @@ from .matrices import (
     matrix_to_json,
     zeros,
 )
-from .solver import LinearSystem, maximal_solution
 
 DEFAULT_ENTRY_BOUND = 10**9
 
@@ -135,21 +134,34 @@ def run_exchange(params: DigitalParams, rng: Random) -> ExchangeTranscript:
 
 
 # -- key recovery from public data only --------------------------------------
+#
+# W is a chain, so once its values are replaced by their ranks in the order
+# (digit sum, value), + is max and * is min on plain ints: the attack is a
+# max-min linear system.  Its maximal solution is the residuation of the
+# target by the columns (Cuninghame-Green, Minimax Algebra, 1979; Butkovic,
+# Max-linear Systems, 2010), and the replay is one max-min combination.
 
 
-def _shifted_columns(mat: SemiringMatrix) -> tuple:
-    """Flattened copies of mat with entry (r, c) taken from mat[r - i][c + j].
+def _shifted_columns(rows) -> tuple:
+    """Flattened copies of rows with entry (r, c) taken from rows[r - i][c + j].
 
-    One copy per (i, j), row-major in (i, j), indices mod n.
+    One copy per (i, j), row-major in (i, j), indices mod n.  The copy for
+    (i, j) is the one for (0, j) rotated right by i rows.
     """
-    n = mat.n
-    # turned[k][j] is row k rotated left by j
-    turned = [[row[j:] + row[:j] for j in range(n)] for row in mat.rows]
-    return tuple(
-        tuple(v for r in range(n) for v in turned[(r - i) % n][j])
-        for i in range(n)
-        for j in range(n)
-    )
+    n = len(rows)
+    # bases[j] is every row rotated left by j, concatenated
+    bases = [tuple(v for row in rows for v in row[j:] + row[:j]) for j in range(n)]
+    cuts = [(n - i) * n for i in range(n)]
+    return tuple(base[s:] + base[:s] for s in cuts for base in bases)
+
+
+def generators(n: int) -> Tuple[tuple, tuple]:
+    """The (i, j) pair of each attack column, and the unit circulants.
+
+    These are the pairs and gens that attack_columns returns and
+    recover_shared_key takes.
+    """
+    return tuple((i, j) for i in range(n) for j in range(n)), circulant_generators(W, n)
 
 
 def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
@@ -161,10 +173,51 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     columns are built by that index shift, with no semiring arithmetic, and
     equal flatten_two_sided(params.matrix, gens, gens)[0].
     """
-    n = params.n
-    gens = circulant_generators(W, n)
-    pairs = tuple((i, j) for i in range(n) for j in range(n))
-    return _shifted_columns(params.matrix), pairs, gens
+    return (_shifted_columns(params.matrix.rows),) + generators(params.n)
+
+
+def _chain(*groups) -> Tuple[list, dict]:
+    """The given values plus 0 and INF in W's order, and each value's rank.
+
+    Rank 0 is 0, the bottom; the last rank is INF, the top.
+    """
+    values = sorted({0, INF}.union(*groups), key=lambda v: (digit_sum(v), v))
+    return values, {v: r for r, v in enumerate(values)}
+
+
+def _ranked(mat: SemiringMatrix, rank: dict) -> list:
+    return [[rank[v] for v in row] for row in mat.rows]
+
+
+def _max_min(zs, columns) -> list:
+    """Ranks of sum_k z_k * H_k: componentwise max over k of min(z_k, H_k)."""
+    acc = [0] * len(columns[0])
+    for z, col in zip(zs, columns):
+        if z:  # rank 0 is the zero: it adds nothing
+            acc = [a if a > (t := h if h < z else z) else t for a, h in zip(acc, col)]
+    return acc
+
+
+def solve(params: DigitalParams, target_pk: SemiringMatrix):
+    """The maximal solution of the attack system for target_pk, or None.
+
+    Returns what solver.maximal_solution(LinearSystem(attack_columns(params)[0],
+    target_pk.flat()), W, w_max_component) returns, computed on ranks: the
+    largest z_k with z_k * H_k <= Y is min{ y_l : H_k[l] > y_l }, or INF
+    when no component constrains it, and the candidate solves the system
+    exactly when any combination does.
+    """
+    target = target_pk.flat()
+    if len(target) != params.n * params.n:
+        raise ValueError("column length must match target length")
+    values, rank = _chain(target, params.matrix.flat())
+    top = len(values) - 1
+    ys = [rank[v] for v in target]
+    columns = _shifted_columns(_ranked(params.matrix, rank))
+    zs = [min([y for h, y in zip(col, ys) if h > y], default=top) for col in columns]
+    if _max_min(zs, columns) != ys:
+        return None
+    return tuple(values[z] for z in zs)
 
 
 def recover_shared_key(
@@ -179,36 +232,31 @@ def recover_shared_key(
     Returns the sum of z_k * C_i other_pk C_j with (i, j) = pairs[k].  By the
     permutation identity of attack_columns (INF * x = x, 0 * x = 0,
     0 + x = x), each product is an index-shifted copy of other_pk, so no
-    matrix product is formed.  `pairs` and `gens` must be the ones
-    attack_columns returned: the shifted copies are taken in the same
-    row-major (i, j) order, and neither is read otherwise.
+    matrix product is formed; the sum runs on ranks in W's order.  `pairs`
+    and `gens` must be the ones attack_columns returned: the shifted copies
+    are taken in the same row-major (i, j) order, and neither is read
+    otherwise.
     """
-    add, mul, zero = W.add, W.mul, W.zero
-    acc = None
-    for z, col in zip(solution, _shifted_columns(other_pk)):
-        if z == zero:
-            continue
-        term = [mul(z, v) for v in col]
-        acc = term if acc is None else [add(a, b) for a, b in zip(acc, term)]
+    values, rank = _chain(solution, other_pk.flat())
+    acc = _max_min(
+        [rank[z] for z in solution], _shifted_columns(_ranked(other_pk, rank))
+    )
     n = params.n
-    if acc is None:
-        # all-zero combination: the zero matrix
-        return zeros(W, n)
-    return SemiringMatrix(W, tuple(tuple(acc[r * n : (r + 1) * n]) for r in range(n)))
+    return SemiringMatrix(
+        W, tuple(tuple(values[a] for a in acc[r * n : (r + 1) * n]) for r in range(n))
+    )
 
 
 def attack(
     params: DigitalParams, target_pk: SemiringMatrix, other_pk: SemiringMatrix
 ) -> SemiringMatrix:
     """Recover the shared key of the party that published target_pk."""
-    columns, pairs, gens = attack_columns(params)
-    system = LinearSystem(columns, target_pk.flat())
-    solution = maximal_solution(system, W, w_max_component)
+    solution = solve(params, target_pk)
     if solution is None:
         raise AttackError(
             "public matrix is outside the span of the two-sided products"
         )
-    return recover_shared_key(params, solution, other_pk, pairs, gens)
+    return recover_shared_key(params, solution, other_pk, *generators(params.n))
 
 
 # -- serialization ------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Tuple
 
-from .errors import AttackError
+from .errors import AttackError, SizeCapError
 from .gf import f_add, f_mul, f_pow, gauss_solve, make_field_ctx
 from .twisted_ring import (
     RingCtx,
@@ -27,7 +27,7 @@ from .twisted_ring import (
     SubspaceBasis,
     basis_a2,
     basis_r1,
-    element_from_json,
+    element_from_coeffs,
     element_to_json,
     flatten,
     make_ring_ctx,
@@ -146,11 +146,11 @@ def _pair_t_powers(fld) -> list:
 
 
 def check_system_size(n: int, m: int) -> None:
-    """Raise ValueError when the attack system over F_{p^n} with dihedral m
-    has more than MAX_SYSTEM_CELLS unknowns x equations."""
+    """Raise SizeCapError (a ValueError) when the attack system over F_{p^n}
+    with dihedral m has more than MAX_SYSTEM_CELLS unknowns x equations."""
     unknowns, equations = (n * m) * (n * (m // 2 + 1)), 2 * m * n
     if unknowns * equations > MAX_SYSTEM_CELLS:
-        raise ValueError(
+        raise SizeCapError(
             f"attack system of {unknowns} unknowns x {equations} equations "
             f"exceeds the cap of {MAX_SYSTEM_CELLS} cells"
         )
@@ -266,9 +266,7 @@ def params_to_json(params: TwistedParams) -> dict:
 
 def params_from_json(obj: dict) -> TwistedParams:
     ctx = ring_ctx_from_json(obj)
-    h = element_from_json(
-        {"m": ctx.m, "field": ring_ctx_to_json(ctx), "coeffs": obj["h"]}, ctx
-    )
+    h = element_from_coeffs(ctx, obj["h"])
     return TwistedParams(ctx, h)
 
 
@@ -294,31 +292,25 @@ def transcript_to_json(tr: ExchangeTranscript, include_secrets: bool = False) ->
     return obj
 
 
-def _elem_from_coeffs(ctx: RingCtx, coeffs: list) -> RingElement:
-    return element_from_json(
-        {"m": ctx.m, "field": ring_ctx_to_json(ctx), "coeffs": coeffs}, ctx
-    )
-
-
 def transcript_from_json(obj: dict) -> ExchangeTranscript:
     params = params_from_json(obj["params"])
     ctx = params.ctx
-    alice_pk = _elem_from_coeffs(ctx, obj["alice_public"])
-    bob_pk = _elem_from_coeffs(ctx, obj["bob_public"])
+    alice_pk = element_from_coeffs(ctx, obj["alice_public"])
+    bob_pk = element_from_coeffs(ctx, obj["bob_public"])
     zero = RingElement.zero(ctx)
     secrets = obj.get("secrets")
     if secrets:
         alice = TwistedKeyPair(
-            _elem_from_coeffs(ctx, secrets["alice_left"]),
-            _elem_from_coeffs(ctx, secrets["alice_right"]),
+            element_from_coeffs(ctx, secrets["alice_left"]),
+            element_from_coeffs(ctx, secrets["alice_right"]),
             alice_pk,
         )
         bob = TwistedKeyPair(
-            _elem_from_coeffs(ctx, secrets["bob_left"]),
-            _elem_from_coeffs(ctx, secrets["bob_right"]),
+            element_from_coeffs(ctx, secrets["bob_left"]),
+            element_from_coeffs(ctx, secrets["bob_right"]),
             bob_pk,
         )
-        key = _elem_from_coeffs(ctx, secrets["shared_key"])
+        key = element_from_coeffs(ctx, secrets["shared_key"])
     else:
         alice = TwistedKeyPair(zero, zero, alice_pk)
         bob = TwistedKeyPair(zero, zero, bob_pk)

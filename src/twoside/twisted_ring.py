@@ -378,9 +378,18 @@ def element_from_json(obj: dict, ctx: RingCtx = None) -> RingElement:
     else:
         if obj["m"] != ctx.m or field_from_json(obj["field"]) != ctx.field:
             raise ValueError("element JSON does not match the ring context")
+    return element_from_coeffs(ctx, obj["coeffs"])
+
+
+def element_from_coeffs(ctx: RingCtx, items) -> RingElement:
+    """The element of ctx whose nonzero coefficients are the [i, k, c] items.
+
+    Checks every group index, duplicate and field coefficient, but not the
+    field itself: ctx is trusted, so a transcript validates its field once.
+    """
     coeffs = [ctx.field.zero] * ctx.group_size
     seen = set()
-    for i, k, c in obj["coeffs"]:
+    for i, k, c in items:
         if not (0 <= i < ctx.m and k in (0, 1)):
             raise ValueError("group index out of range")
         idx = i + ctx.m * k

@@ -290,7 +290,8 @@ def test_attack_rejects_transcript_over_system_cap(tmp_path, monkeypatch):
     }))
     res = run_cli("attack", str(big), cwd=tmp_path, timeout=60)
     assert res.returncode == 2, res.stderr
-    assert "exceeds the cap" in res.stderr
+    assert "exceeds the cap of 4194304 cells" in res.stderr
+    assert "malformed" not in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -375,6 +376,26 @@ def test_bench_rejects_trials_over_cap(tmp_path):
     assert res.returncode == 2, res.stderr
     assert "--trials must be in 1..10000" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--scheme", "digital", "--n", "2,3", "--trials", "5001"],
+        ["--scheme", "twisted", "--p", "2,3", "--fext", "1,2", "--m", "3,4,5",
+         "--trials", "834"],
+        # 10^6 combos of one trial each: rejected before the grid is formed
+        ["--scheme", "twisted", "--p", ",".join(map(str, range(100))),
+         "--fext", ",".join(map(str, range(100))),
+         "--m", ",".join(map(str, range(100))), "--trials", "1"],
+    ],
+)
+def test_bench_rejects_grid_over_trials_cap(tmp_path, grid):
+    res = run_cli("bench", *grid, cwd=tmp_path, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "trials exceeds the cap of 10000 trials" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_bench_deterministic_modulo_timing(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside.digital import INF, MAX_FINITE, W
+from twoside.digital import INF, MAX_FINITE, W, w_leq, w_max_component
 from twoside.digital_kex import (
     MAX_N,
     DigitalParams,
+    _chain,
     attack,
     attack_columns,
     keygen,
@@ -21,10 +22,12 @@ from twoside.digital_kex import (
     run_exchange,
     sample_circulant,
     shared_key,
+    solve,
     transcript_from_json,
     transcript_to_json,
 )
 from twoside.errors import AttackError
+from twoside.solver import LinearSystem, maximal_solution
 from twoside.matrices import (
     Circulant,
     SemiringMatrix,
@@ -34,7 +37,7 @@ from twoside.matrices import (
     zeros,
 )
 
-from helpers import dense_replay, mat_rows, naive_mat_mul, random_digit_tie_pair
+from helpers import dense_replay, mat_rows, naive_mat_mul, random_digit_tie_pair, w_dot
 
 
 def identity_circulant(n):
@@ -203,6 +206,46 @@ def test_recover_shared_key_matches_dense_replay(data):
     assert recover_shared_key(params, solution, other_pk, pairs, gens) == dense_replay(
         solution, other_pk, pairs, gens
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_matches_maximal_solution(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    values = w_values(data)
+    params = DigitalParams(n, draw_matrix(data, values, n))
+    columns = attack_columns(params)[0]
+    inside = data.draw(st.booleans(), label="inside")
+    if inside:
+        # a combination of the columns: some solution exists, so the maximal one does
+        zs = data.draw(st.lists(values, min_size=n * n, max_size=n * n))
+        flat = w_dot(zs, columns, n * n)
+        target = SemiringMatrix(W, [flat[r * n : (r + 1) * n] for r in range(n)])
+    else:
+        target = draw_matrix(data, values, n)
+    expected = maximal_solution(LinearSystem(columns, target.flat()), W, w_max_component)
+    assert solve(params, target) == expected
+    if inside:
+        assert expected is not None
+
+
+def test_solve_rejects_target_of_other_size():
+    params = random_params(3, Random(16))
+    with pytest.raises(ValueError):
+        solve(params, zeros(W, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chain_ranks_agree_with_w_leq(data):
+    given_values = data.draw(st.lists(w_values(data), min_size=1, max_size=12))
+    values, rank = _chain(given_values)
+    assert set(values) == set(given_values) | {0, INF}
+    assert rank[0] == 0 and rank[INF] == len(values) - 1
+    for a in values:
+        assert values[rank[a]] == a
+        for b in values:
+            assert (rank[a] <= rank[b]) == w_leq(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

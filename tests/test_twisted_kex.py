@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside import twisted_kex
+from twoside import twisted_kex, twisted_ring
 from twoside.errors import AttackError
 from twoside.gf import gauss_solve, gauss_solve_full
 from twoside.twisted_kex import (
@@ -363,6 +363,42 @@ def test_transcript_json_round_trip_with_secrets():
     tr = run_exchange(params, rng)
     back = transcript_from_json(transcript_to_json(tr, include_secrets=True))
     assert back == tr
+
+
+@pytest.mark.parametrize("secrets", [False, True])
+def test_transcript_from_json_validates_field_once(monkeypatch, secrets):
+    rng = Random(16)
+    params = random_params(3, 2, 4, rng)
+    obj = transcript_to_json(run_exchange(params, rng), include_secrets=secrets)
+    calls = []
+    real = twisted_ring.field_from_json
+
+    def counted(field_obj):
+        calls.append(field_obj)
+        return real(field_obj)
+
+    monkeypatch.setattr(twisted_ring, "field_from_json", counted)
+    assert transcript_from_json(obj).params.ctx == params.ctx
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[9, 0, [1, 0]]],  # rotation index out of range
+        [[0, 2, [1, 0]]],  # reflection index out of range
+        [[0, 0, [3, 0]]],  # coefficient not reduced mod p
+        [[0, 0, [1]]],  # coefficient of the wrong degree
+        [[0, 0, [1, 0]], [0, 0, [2, 0]]],  # duplicate entry
+    ],
+)
+def test_transcript_from_json_rejects_bad_public_element(entries):
+    rng = Random(17)
+    params = random_params(3, 2, 4, rng)
+    obj = transcript_to_json(run_exchange(params, rng))
+    obj["alice_public"] = entries
+    with pytest.raises(ValueError):
+        transcript_from_json(obj)
 
 
 def test_params_reject_foreign_element():
