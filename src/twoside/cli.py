@@ -26,8 +26,8 @@ from typing import List, Optional, Tuple
 from . import digital_kex, twisted_kex
 from .digital import value_to_json
 from .errors import AttackError, SizeCapError
-from .gf import MAX_DEGREE, MAX_ORDER, MAX_PRIME, gauss_solve, is_prime
-from .twisted_ring import MAX_M, flatten
+from .gf import MAX_DEGREE, MAX_ORDER, MAX_PRIME, is_prime
+from .twisted_ring import MAX_M
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -221,31 +221,24 @@ def _attack_twisted(obj: dict, dump_path: Optional[str]) -> Tuple[dict, list, in
     reference = tr.shared_key if obj.get("secrets") else None
 
     t_total = time.perf_counter()
-    # the rows and bases depend only on the public parameters: build them once
-    rows, alice_rhs, left_basis, right_basis = twisted_kex.attack_system(
-        params, tr.alice.pk
-    )
+    # the rows depend only on the public parameters: build them once
+    rows = twisted_kex.system_rows(params)
     unknowns, equations = len(rows[0]), len(rows)
     if dump_path:
-        columns = [[row[c] for row in rows] for c in range(unknowns)]
+        # the dump is the paper's system, not the reduced one solved below
+        paper_rows, target = twisted_kex.attack_system(params, tr.alice.pk)[:2]
+        columns = [list(col) for col in zip(*paper_rows)]
         with open(dump_path, "w") as fh:
-            json.dump({"columns": columns, "target": list(alice_rhs)}, fh)
+            json.dump({"columns": columns, "target": list(target)}, fh)
     recovered = []
     solve_ms = 0.0
-    for rhs, other in (
-        (alice_rhs, tr.bob.pk),
-        (flatten(tr.bob.pk), tr.alice.pk),
-    ):
+    for target_pk, other in ((tr.alice.pk, tr.bob.pk), (tr.bob.pk, tr.alice.pk)):
         t0 = time.perf_counter()
-        solution = gauss_solve(rows, rhs, params.ctx.field.p)
+        coeffs = twisted_kex.solve(params, rows, target_pk)
         solve_ms += (time.perf_counter() - t0) * 1000.0
-        if solution is None:
+        if coeffs is None:
             raise AttackError("no solution for a public element")
-        recovered.append(
-            twisted_kex.recover_shared_key(
-                params, solution, other, left_basis, right_basis
-            )
-        )
+        recovered.append(twisted_kex.replay(params, coeffs, other))
     attack_ms = (time.perf_counter() - t_total) * 1000.0
 
     report = {
@@ -315,15 +308,13 @@ def _bench_twisted(p: int, fext: int, m: int, rng: Random) -> Tuple[float, float
     params = twisted_kex.random_params(p, fext, m, rng)
     tr = twisted_kex.run_exchange(params, rng)
     t_total = time.perf_counter()
-    rows, rhs, left_basis, right_basis = twisted_kex.attack_system(params, tr.alice.pk)
+    rows = twisted_kex.system_rows(params)
     t0 = time.perf_counter()
-    solution = gauss_solve(rows, rhs, params.ctx.field.p)
+    coeffs = twisted_kex.solve(params, rows, tr.alice.pk)
     solve_ms = (time.perf_counter() - t0) * 1000.0
-    ok = solution is not None
+    ok = coeffs is not None
     if ok:
-        key = twisted_kex.recover_shared_key(
-            params, solution, tr.bob.pk, left_basis, right_basis
-        )
+        key = twisted_kex.replay(params, coeffs, tr.bob.pk)
         ok = key == tr.shared_key and tr.keys_agree
     attack_ms = (time.perf_counter() - t_total) * 1000.0
     return solve_ms, attack_ms, ok

@@ -247,10 +247,19 @@ def recover_shared_key(
     )
 
 
+def _require_size(n: int, size: int, what: str) -> None:
+    if size != n:
+        raise ValueError(f"{what} is {size} x {size}, not {n} x {n}")
+
+
 def attack(
     params: DigitalParams, target_pk: SemiringMatrix, other_pk: SemiringMatrix
 ) -> SemiringMatrix:
-    """Recover the shared key of the party that published target_pk."""
+    """Recover the shared key of the party that published target_pk.
+
+    Raises ValueError when either public matrix is not n x n.
+    """
+    _require_size(params.n, other_pk.n, "matrix")
     solution = solve(params, target_pk)
     if solution is None:
         raise AttackError(
@@ -296,23 +305,32 @@ def transcript_to_json(tr: ExchangeTranscript, include_secrets: bool = False) ->
 
 
 def transcript_from_json(obj: dict) -> ExchangeTranscript:
+    """Parse a transcript; every matrix and circulant in it must be n x n."""
     params = params_from_json(obj["params"])
-    alice_pk = matrix_from_json(obj["alice_public"], W, value_from_json)
-    bob_pk = matrix_from_json(obj["bob_public"], W, value_from_json)
+    n = params.n
+
+    def matrix(item) -> SemiringMatrix:
+        mat = matrix_from_json(item, W, value_from_json)
+        _require_size(n, mat.n, "matrix")
+        return mat
+
+    def circulant(item) -> Circulant:
+        circ = circulant_from_json(item, W, value_from_json)
+        _require_size(n, circ.n, "circulant")
+        return circ
+
+    alice_pk = matrix(obj["alice_public"])
+    bob_pk = matrix(obj["bob_public"])
     secrets = obj.get("secrets")
-    placeholder = Circulant(W, (W.zero,) * params.n)
+    placeholder = Circulant(W, (W.zero,) * n)
     if secrets:
         alice = DigitalKeyPair(
-            circulant_from_json(secrets["alice_left"], W, value_from_json),
-            circulant_from_json(secrets["alice_right"], W, value_from_json),
-            alice_pk,
+            circulant(secrets["alice_left"]), circulant(secrets["alice_right"]), alice_pk
         )
         bob = DigitalKeyPair(
-            circulant_from_json(secrets["bob_left"], W, value_from_json),
-            circulant_from_json(secrets["bob_right"], W, value_from_json),
-            bob_pk,
+            circulant(secrets["bob_left"]), circulant(secrets["bob_right"]), bob_pk
         )
-        key = matrix_from_json(secrets["shared_key"], W, value_from_json)
+        key = matrix(secrets["shared_key"])
     else:
         alice = DigitalKeyPair(placeholder, placeholder, alice_pk)
         bob = DigitalKeyPair(placeholder, placeholder, bob_pk)

@@ -293,7 +293,12 @@ def f_sub(ctx: FieldCtx, a, b) -> tuple:
     return tuple((x - y) % p for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=None)
+# Bounded so long campaigns over many fresh fields do not grow them without
+# limit; one attack at the size cap touches far fewer distinct products.
+_FIELD_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def f_mul(ctx: FieldCtx, a, b) -> tuple:
     p, n = ctx.p, ctx.n
     if n == 1:
@@ -307,7 +312,7 @@ def f_mul(ctx: FieldCtx, a, b) -> tuple:
     return _pad_to(red, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def f_inv(ctx: FieldCtx, a) -> tuple:
     if not any(a):
         raise ZeroDivisionError("inverse of zero in the field")
@@ -418,6 +423,9 @@ def _row_reduce(rows, rhs, p: int):
     return a, piv_cols, x
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _solve_packed_f2(rows, rhs) -> Optional[list]:
     """gauss_solve for p = 2 on rows packed into ints, eliminated with XOR.
 
@@ -432,7 +440,8 @@ def _solve_packed_f2(rows, rhs) -> Optional[list]:
     rhs_bit = 1 << c
     live = []
     for row, b in zip(rows, rhs):
-        packed = int("".join("1" if v & 1 else "0" for v in reversed(row)), 2)
+        # the row's low bits, last unknown first, as the digits 0/1 of one int
+        packed = int(bytes([v & 1 for v in row[::-1]]).translate(_BINARY_DIGITS), 2)
         packed |= (b & 1) << c
         if packed:
             live.append(packed)

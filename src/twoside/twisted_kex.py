@@ -11,6 +11,12 @@ in the span of the products (basis of rotation subring) * h * (basis of
 symmetric reflections), so one Gaussian elimination over F_p writes it as a
 known linear combination of those products, and replaying that combination
 against the other party's public element reproduces the shared key.
+
+Field scalars are central and t^0 .. t^{n-1} is an F_p-basis of F_{p^n}, so
+the products t^{a+b} * rot_i(h * S_j) of the paper's system span exactly
+what the n-fold fewer t^a * rot_i(h * S_j), a < n, span.  The attack solves
+that smaller system (system_rows, solve, replay); the paper's system
+(basis_products, attack_system, recover_shared_key) stays as the reference.
 """
 
 from __future__ import annotations
@@ -140,9 +146,37 @@ def _orbit(m: int, j: int) -> set:
     return {j, (m - j) % m}
 
 
-def _pair_t_powers(fld) -> list:
-    """t^0 .. t^{2n-2}: the scalars t^a * t^b of a left times a right basis element."""
-    return [f_pow(fld, fld.t, s) for s in range(2 * fld.n - 1)]
+def _h_times_orbit_sums(params: TwistedParams) -> list:
+    """h * S_j for j = 0 .. m//2, by index shifts."""
+    ctx = params.ctx
+    return [
+        _times_reflections(params.h, [(e, ctx.field.one) for e in _orbit(ctx.m, j)])
+        for j in range(ctx.m // 2 + 1)
+    ]
+
+
+def _t_powers(fld, count: int) -> list:
+    """t^0 .. t^{count-1}."""
+    return [f_pow(fld, fld.t, s) for s in range(count)]
+
+
+def _fold(terms, fld) -> dict:
+    """{(i, j): sum of z * s} over the (i, j, z, s) terms, zero sums dropped.
+
+    z is an F_p int and s a field element, so each sum is one F_{p^n}
+    coefficient of the replay.
+    """
+    acc = {}
+    for i, j, z, s in terms:
+        c = acc.setdefault((i, j), [0] * fld.n)
+        for r, v in enumerate(s):
+            c[r] += z * v
+    coeffs = {}
+    for ij, c in acc.items():
+        c = tuple(v % fld.p for v in c)
+        if any(c):
+            coeffs[ij] = c
+    return coeffs
 
 
 def check_system_size(n: int, m: int) -> None:
@@ -170,11 +204,9 @@ def basis_products(params: TwistedParams) -> Tuple[SubspaceBasis, SubspaceBasis,
     n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
     left_basis = basis_r1(ctx)
     right_basis = basis_a2(ctx)
-    h_s = [
-        _times_reflections(params.h, [(e, fld.one) for e in _orbit(m, j)])
-        for j in range(w)
-    ]
-    scaled = [[elem.scale(tp) for elem in h_s] for tp in _pair_t_powers(fld)]
+    h_s = _h_times_orbit_sums(params)
+    # t^0 .. t^{2n-2}: the scalars t^a * t^b of a left times a right basis element
+    scaled = [[elem.scale(tp) for elem in h_s] for tp in _t_powers(fld, 2 * n - 1)]
     # rotated[i][a + b][j] = t^{a+b} * rot_i(h * S_j)
     rotated = [[[_rotated(e, i) for e in row] for row in scaled] for i in range(m)]
     products = [
@@ -212,47 +244,113 @@ def recover_shared_key(
 
     The key is sum z * L * other_pk * R^adj over the solution.  As in
     basis_products each term is t^{a+b} * rot_i(other_pk * S_j^adj), so the
-    solution folds into F_{p^n} coefficients c_ij = sum_{a,b} z * t^{a+b}
-    and the key is sum_{i,j} rot_i(c_ij * other_pk * S_j^adj).
+    solution folds into F_{p^n} coefficients c_ij = sum_{a,b} z * t^{a+b},
+    which replay turns into the key.
+    """
+    fld = params.ctx.field
+    m, w = params.ctx.m, params.ctx.m // 2 + 1
+    width = len(right_basis)
+    t_pows = _t_powers(fld, 2 * fld.n - 1)
+
+    def terms():
+        for idx, z in enumerate(solution):
+            if z:
+                left, right = divmod(idx, width)
+                a, i = divmod(left, m)
+                b, j = divmod(right, w)
+                yield i, j, z, t_pows[a + b]
+
+    return replay(params, _fold(terms(), fld), other_pk)
+
+
+def _rotated_flat(vec: tuple, shift: int) -> tuple:
+    """flatten(x^i * e) from vec = flatten(e), with shift = i * n."""
+    half = len(vec) // 2
+    rot, refl = vec[:half], vec[half:]
+    cut = half - shift
+    return rot[cut:] + rot[:cut] + refl[cut:] + refl[:cut]
+
+
+def system_rows(params: TwistedParams) -> list:
+    """F_p rows of the attack system solved by solve, for any target.
+
+    Unknown (a, i, j), at index (a * m + i) * w + j, is the coefficient of
+    t^a * rot_i(h * S_j) for a < n, i < m and j < w = m//2 + 1: 2mn equations
+    in n * m * w unknowns, n times fewer than attack_system.  The columns are
+    the w elements h * S_j, scaled by t^a and rotated by index shifts.  Over
+    the size cap of the paper's system it raises ValueError before building
+    anything, as attack_system does.
     """
     ctx = params.ctx
     fld = ctx.field
-    m, w = ctx.m, ctx.m // 2 + 1
-    width = len(right_basis)
-    t_pows = _pair_t_powers(fld)
-    coeffs = {}
-    for idx, z in enumerate(solution):
-        if not z:
-            continue
-        left, right = divmod(idx, width)
-        a, i = divmod(left, m)
-        b, j = divmod(right, w)
-        acc = coeffs.setdefault((i, j), [0] * fld.n)
-        for r, v in enumerate(t_pows[a + b]):
-            acc[r] += z * v
+    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
+    check_system_size(n, m)
+    h_s = _h_times_orbit_sums(params)
+    scaled = [[flatten(elem.scale(tp)) for elem in h_s] for tp in _t_powers(fld, n)]
+    columns = [
+        _rotated_flat(scaled[a][j], i * n)
+        for a in range(n)
+        for i in range(m)
+        for j in range(w)
+    ]
+    return list(zip(*columns))
+
+
+def solve(params: TwistedParams, rows: list, target_pk: RingElement):
+    """The replay coefficients {(i, j): c_ij} for target_pk, or None.
+
+    Solves system_rows(params) against target_pk with free variables zero
+    and folds z into c_ij = sum_a z_(a,i,j) * t^a, keeping the nonzero ones.
+    None means target_pk is outside the span.  Padded with zeros for the
+    unknowns with b > 0, a solution here solves attack_system, so replay
+    recovers the same key as recover_shared_key.
+    """
+    fld = params.ctx.field
+    z = gauss_solve(rows, flatten(target_pk), fld.p)
+    if z is None:
+        return None
+    m, w = params.ctx.m, params.ctx.m // 2 + 1
+    t_pows = _t_powers(fld, fld.n)
+
+    def terms():
+        for idx, v in enumerate(z):
+            if v:
+                a, ij = divmod(idx, m * w)
+                i, j = divmod(ij, w)
+                yield i, j, v, t_pows[a]
+
+    return _fold(terms(), fld)
+
+
+def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:
+    """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}."""
+    ctx = params.ctx
+    fld = ctx.field
+    m = ctx.m
     adjoint_products = {}  # j -> other_pk * S_j^adj
-    key = RingElement.zero(ctx)
-    for (i, j), acc in coeffs.items():
-        c = tuple(v % fld.p for v in acc)
-        if not any(c):
-            continue
+    key = [[0] * fld.n for _ in range(2 * m)]
+    for (i, j), c in coeffs.items():
         if j not in adjoint_products:
             adjoint_products[j] = _times_reflections(
                 other_pk, [(e, ctx.twist_inv_pows[e]) for e in _orbit(m, j)]
-            )
-        key = key + _rotated(adjoint_products[j].scale(c), i)
-    return key
+            ).coeffs
+        # rot_i sends slot k of either half to slot k + i of the same half
+        for g, x in enumerate(adjoint_products[j]):
+            if any(x):
+                acc = key[(g + i) % m + (g >= m) * m]
+                for r, v in enumerate(f_mul(fld, c, x)):
+                    acc[r] += v
+    return RingElement(ctx, tuple(tuple(v % fld.p for v in acc) for acc in key))
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:
     """Recover the shared key of the party that published target_pk."""
-    rows, rhs, left_basis, right_basis = attack_system(params, target_pk)
-    solution = gauss_solve(rows, rhs, params.ctx.field.p)
-    if solution is None:
+    coeffs = solve(params, system_rows(params), target_pk)
+    if coeffs is None:
         raise AttackError(
             "public element is outside the span of the basis products"
         )
-    return recover_shared_key(params, solution, other_pk, left_basis, right_basis)
+    return replay(params, coeffs, other_pk)
 
 
 # -- serialization ------------------------------------------------------------

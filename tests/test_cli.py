@@ -238,6 +238,21 @@ def test_attack_rejects_non_object_transcript(tmp_path, text):
     assert "Traceback" not in res.stderr
 
 
+def test_attack_rejects_digital_peer_key_of_wrong_size(tmp_path):
+    small, big = tmp_path / "n3.json", tmp_path / "n4.json"
+    for n, out in ((3, small), (4, big)):
+        res = run_cli("exchange", "--n", str(n), "--seed", "9", "--out", str(out), cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+    obj = read_json(small)
+    obj["bob_public"] = read_json(big)["bob_public"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stdout
+    assert "malformed transcript: matrix is 4 x 4, not 3 x 3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_attack_rejects_transcript_over_n_cap(tmp_path):
     n = 33
     mat = {"n": n, "rows": [[1] * n for _ in range(n)]}
@@ -295,7 +310,7 @@ def test_attack_rejects_transcript_over_system_cap(tmp_path, monkeypatch):
     assert "Traceback" not in res.stderr
 
 
-def test_attack_twisted_builds_basis_products_once(tmp_path, monkeypatch, capsys):
+def test_attack_twisted_builds_system_rows_once(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(SRC))
     from twoside import cli, twisted_kex
 
@@ -306,22 +321,46 @@ def test_attack_twisted_builds_basis_products_once(tmp_path, monkeypatch, capsys
     ]) == 0
     capsys.readouterr()
 
-    calls = []
-    real = twisted_kex.basis_products
+    calls = {"system_rows": 0, "basis_products": 0}
+    for name in calls:
+        real = getattr(twisted_kex, name)
 
-    def counted(params):
-        calls.append(params)
-        return real(params)
+        def counted(params, name=name, real=real):
+            calls[name] += 1
+            return real(params)
 
-    monkeypatch.setattr(twisted_kex, "basis_products", counted)
+        monkeypatch.setattr(twisted_kex, name, counted)
     assert cli.main(["attack", str(out)]) == 0
-    assert len(calls) == 1
+    # both directions solve one system; the paper's system is never built
+    assert calls == {"system_rows": 1, "basis_products": 0}
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {
         "scheme", "unknowns", "equations", "solve_ms", "attack_ms",
         "recovered_keys_agree", "reference_key_present", "attack_key_matches",
     }
+    # (2, 2, 3): n * m * (m // 2 + 1) unknowns, 2 * m * n equations
+    assert (report["unknowns"], report["equations"]) == (12, 12)
     assert report["attack_key_matches"] is True
+
+
+def test_attack_dump_system_twisted_is_paper_system(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, twisted_kex
+
+    out = tmp_path / "t.json"
+    dump = tmp_path / "system.json"
+    assert cli.main([
+        "exchange", "--scheme", "twisted", "--p", "3", "--fext", "2", "--m", "4",
+        "--seed", "8", "--out", str(out),
+    ]) == 0
+    assert cli.main(["attack", str(out), "--dump-system", str(dump)]) == 0
+    capsys.readouterr()
+    tr = twisted_kex.transcript_from_json(read_json(out))
+    rows, target, _, _ = twisted_kex.attack_system(tr.params, tr.alice.pk)
+    assert read_json(dump) == {
+        "columns": [[row[c] for row in rows] for c in range(len(rows[0]))],
+        "target": list(target),
+    }
 
 
 # -- bench ----------------------------------------------------------------------

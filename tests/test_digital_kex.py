@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside.digital import INF, MAX_FINITE, W, w_leq, w_max_component
+from twoside.digital import INF, MAX_FINITE, W, value_to_json, w_leq, w_max_component
 from twoside.digital_kex import (
     MAX_N,
     DigitalParams,
@@ -33,7 +33,9 @@ from twoside.matrices import (
     SemiringMatrix,
     circulant_generators,
     flatten_two_sided,
+    circulant_to_json,
     identity,
+    matrix_to_json,
     zeros,
 )
 
@@ -271,6 +273,15 @@ def test_attack_rejects_unreachable_public_matrix():
         attack(params, corrupted, tr.bob.pk)
 
 
+def test_attack_rejects_other_pk_of_wrong_size():
+    rng = Random(17)
+    params3 = random_params(3, rng)
+    tr3 = run_exchange(params3, rng)
+    tr4 = run_exchange(random_params(4, rng), rng)
+    with pytest.raises(ValueError, match="4 x 4, not 3 x 3"):
+        attack(params3, tr3.alice.pk, tr4.bob.pk)
+
+
 # -- validation and serialization -----------------------------------------------------
 
 
@@ -312,3 +323,30 @@ def test_transcript_json_round_trip_with_secrets():
     assert "secrets" in obj
     back = transcript_from_json(obj)
     assert back == tr
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("alice_public",),
+        ("bob_public",),
+        ("secrets", "alice_left"),
+        ("secrets", "bob_right"),
+        ("secrets", "shared_key"),
+    ],
+)
+def test_transcript_from_json_rejects_entries_of_wrong_size(path):
+    rng = Random(24)
+    tr = run_exchange(random_params(3, rng), rng)
+    obj = transcript_to_json(tr, include_secrets=True)
+    other = run_exchange(random_params(4, rng), rng)
+    if path[-1] in ("alice_left", "bob_right"):
+        wrong = circulant_to_json(other.alice.left, value_to_json)
+    else:
+        wrong = matrix_to_json(other.bob.pk, value_to_json)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = wrong
+    with pytest.raises(ValueError, match="not 3 x 3"):
+        transcript_from_json(obj)

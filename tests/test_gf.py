@@ -263,6 +263,20 @@ def test_gauss_shape_validation():
         gauss_solve([(1, 2), (1,)], (1, 0), 2)
 
 
+def test_field_caches_are_bounded():
+    # 288^2 distinct products of F_289, more than the caches hold
+    fld = make_test_field(17, 2)
+    elems = [element_from_index(fld, i) for i in range(1, fld.order)]
+    for a in elems:
+        assert f_mul(fld, a, f_inv(fld, a)) == fld.one
+        for b in elems:
+            f_mul(fld, a, b)
+    for cached in (f_mul, f_inv):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+
 # -- gauss_solve against the gauss_solve_full reference -------------------------
 
 

@@ -22,8 +22,11 @@ from twoside.twisted_kex import (
     params_to_json,
     random_params,
     recover_shared_key,
+    replay,
     run_exchange,
     shared_key,
+    solve,
+    system_rows,
     transcript_from_json,
     transcript_to_json,
 )
@@ -308,6 +311,54 @@ def test_recover_shared_key_all_zero_solution(p, n, m):
     assert dense_twisted_replay(params, solution, params.h, left_basis, right_basis) == zero
 
 
+# -- the reduced system t^a * rot_i(h * S_j), a < n, against the paper's system ----
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_agrees_with_paper_system(data):
+    params = draw_params(data)
+    ctx = params.ctx
+    rng = Random(data.draw(st.integers(0, 2**32), label="seed"))
+    alice, bob = keygen(params, rng), keygen(params, rng)
+    kind = data.draw(st.sampled_from(["honest", "full", "sparse"]), label="target")
+    target = alice.pk if kind == "honest" else draw_element(data, ctx, kind)
+    rows, rhs, left_basis, right_basis = attack_system(params, target)
+    oracle = gauss_solve(rows, rhs, ctx.field.p)
+    coeffs = solve(params, system_rows(params), target)
+    assert (coeffs is None) == (oracle is None)
+    if coeffs is None:
+        return
+    # c_ij multiplies x^i * h * S_j, the dense product of left i and right j
+    products = dense_basis_products(params)[2]
+    span = RingElement.zero(ctx)
+    for (i, j), c in coeffs.items():
+        assert any(c)
+        span = span + products[i * len(right_basis) + j].scale(c)
+    assert span == target
+    key = replay(params, coeffs, bob.pk)
+    assert key == recover_shared_key(params, oracle, bob.pk, left_basis, right_basis)
+    if kind == "honest":
+        assert key == shared_key(alice, bob.pk)
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 1, 1), (3, 2, 4), (7, 1, 8)])
+def test_solve_zero_target_gives_no_terms(p, n, m):
+    params = fixed_params(p, n, m)
+    zero = RingElement.zero(params.ctx)
+    coeffs = solve(params, system_rows(params), zero)
+    assert coeffs == {}
+    assert replay(params, coeffs, params.h) == zero
+
+
+@pytest.mark.parametrize("p,n,m", TWISTED_GRID + [(2, 4, 6), (2, 4, 16)])
+def test_system_rows_shape(p, n, m):
+    params = fixed_params(p, n, m)
+    rows = system_rows(params)
+    assert len(rows) == 2 * m * n  # equations, as in attack_system
+    assert {len(row) for row in rows} == {n * m * (m // 2 + 1)}  # n times fewer unknowns
+
+
 def test_attack_system_size_cap(monkeypatch):
     # (2, 4, 16): 2,304 unknowns x 128 equations = 294,912 cells, under the cap
     params = fixed_params(2, 4, 16)
@@ -318,14 +369,17 @@ def test_attack_system_size_cap(monkeypatch):
     ctx = make_ring_ctx(make_test_field(2, 8), 64)
     params = TwistedParams(ctx, RingElement.one(ctx))
 
-    def fail(params):
-        raise AssertionError("basis products built for an over-cap system")
+    def fail(*args):
+        raise AssertionError("attack system built for an over-cap system")
 
     monkeypatch.setattr(twisted_kex, "basis_products", fail)
+    monkeypatch.setattr(twisted_kex, "_times_reflections", fail)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="135168 unknowns x 1024 equations"):
             attack_system(params, params.h)
+        with pytest.raises(ValueError, match="135168 unknowns x 1024 equations"):
+            system_rows(params)
         with pytest.raises(ValueError, match="exceeds the cap"):
             attack(params, params.h, params.h)
         peak = tracemalloc.get_traced_memory()[1]
