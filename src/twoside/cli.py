@@ -255,7 +255,8 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
     try:
         with open(args.transcript) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the interpreter's stack
         parser.error(f"cannot read transcript: {exc}")
     if not isinstance(obj, dict):
         parser.error("malformed transcript: the top level must be a JSON object")

@@ -16,6 +16,7 @@ key, no secrets needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from random import Random
 from typing import Tuple
 
@@ -110,8 +111,7 @@ def random_params(
 def keypair_from_circulants(
     params: DigitalParams, left: Circulant, right: Circulant
 ) -> DigitalKeyPair:
-    pk = left.expand() @ params.matrix @ right.expand()
-    return DigitalKeyPair(left, right, pk)
+    return DigitalKeyPair(left, right, _sandwich(left, params.matrix, right))
 
 
 def keygen(params: DigitalParams, rng: Random) -> DigitalKeyPair:
@@ -122,7 +122,7 @@ def keygen(params: DigitalParams, rng: Random) -> DigitalKeyPair:
 
 def shared_key(own: DigitalKeyPair, other_pk: SemiringMatrix) -> SemiringMatrix:
     """Wrap the peer's public matrix in our own circulants."""
-    return own.left.expand() @ other_pk @ own.right.expand()
+    return _sandwich(own.left, other_pk, own.right)
 
 
 def run_exchange(params: DigitalParams, rng: Random) -> ExchangeTranscript:
@@ -140,6 +140,11 @@ def run_exchange(params: DigitalParams, rng: Random) -> ExchangeTranscript:
 # max-min linear system.  Its maximal solution is the residuation of the
 # target by the columns (Cuninghame-Green, Minimax Algebra, 1979; Butkovic,
 # Max-linear Systems, 2010), and the replay is one max-min combination.
+
+
+def _rotated_down(flat, n: int) -> list:
+    """For i = 0 .. n-1, the flattened n x n matrix rotated down by i rows."""
+    return [flat[s:] + flat[:s] for s in [(n - i) * n for i in range(n)]]
 
 
 def _shifted_columns(rows) -> tuple:
@@ -196,6 +201,35 @@ def _max_min(zs, columns) -> list:
         if z:  # rank 0 is the zero: it adds nothing
             acc = [a if a > (t := h if h < z else z) else t for a, h in zip(acc, col)]
     return acc
+
+
+def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringMatrix:
+    """left.expand() @ x @ right.expand(), computed on ranks in W's order.
+
+    A circulant with first column l is sum_i l_i * C_i, and C_i X C_j is X
+    shifted by index (see attack_columns).  So (L X)[r][c] is the max over i
+    of min(l_i, X[r - i][c]): X rotated down by i rows.  (Y R)[r][c] is the
+    max over j of min(r_j, Y[r][c + j]): each row of Y rotated left by j,
+    which is the same pass on the transpose, with Y's columns as rows and
+    r_{-i} for l_i.  Raises the ValueErrors of the @ path: a factor not over
+    W, or a size mismatch between the circulants and the matrix.
+    """
+    if left.sr is not W or x.sr is not W or right.sr is not W:
+        raise ValueError("semiring mismatch")
+    n = x.n
+    if left.n != n:
+        raise ValueError(f"dimension mismatch: {left.n} vs {n}")
+    if right.n != n:
+        raise ValueError(f"dimension mismatch: {n} vs {right.n}")
+    values, rank = _chain(left.col, right.col, x.flat())
+    flat = [rank[v] for row in x.rows for v in row]
+    y = _max_min([rank[v] for v in left.col], _rotated_down(flat, n))
+    y_t = list(chain.from_iterable(y[c::n] for c in range(n)))
+    col = right.col
+    acc_t = _max_min([rank[v] for v in col[:1] + col[:0:-1]], _rotated_down(y_t, n))
+    return SemiringMatrix(
+        W, tuple(tuple(values[a] for a in acc_t[r::n]) for r in range(n))
+    )
 
 
 def solve(params: DigitalParams, target_pk: SemiringMatrix):

@@ -245,6 +245,11 @@ class FieldCtx:
             raise ValueError("t must generate the multiplicative group")
         object.__setattr__(self, "_zero", (0,) * n)
         object.__setattr__(self, "_one", one)
+        # f_mul and f_inv are cached on the context: hash the fields once
+        object.__setattr__(self, "_hash", hash((p, n, self.modulus, self.t)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -359,7 +364,11 @@ def field_to_json(ctx: FieldCtx) -> dict:
 
 
 def field_from_json(obj: dict) -> FieldCtx:
-    return FieldCtx(obj["p"], obj["n"], tuple(obj["modulus"]), tuple(obj["t"]))
+    """The field of a JSON object; p, n and every coefficient must be plain ints."""
+    p, n, modulus, t = obj["p"], obj["n"], tuple(obj["modulus"]), tuple(obj["t"])
+    if any(type(v) is not int for v in (p, n) + modulus + t):
+        raise ValueError("field entries must be ints")
+    return FieldCtx(p, n, modulus, t)
 
 
 # -- exact linear algebra over F_p --

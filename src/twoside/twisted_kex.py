@@ -26,7 +26,7 @@ from random import Random
 from typing import Tuple
 
 from .errors import AttackError, SizeCapError
-from .gf import f_add, f_mul, f_pow, gauss_solve, make_field_ctx
+from .gf import f_mul, f_pow, gauss_solve, make_field_ctx
 from .twisted_ring import (
     RingCtx,
     RingElement,
@@ -37,6 +37,7 @@ from .twisted_ring import (
     element_to_json,
     flatten,
     make_ring_ctx,
+    orbit,
     ring_ctx_from_json,
     ring_ctx_to_json,
     sample_a2,
@@ -87,10 +88,32 @@ def random_params(
     return TwistedParams(ctx, h)
 
 
+def _secret_terms(left: RingElement, right: RingElement, other: RingElement):
+    """The nonzero (exponent, coefficient) terms of left in R1 and right in A2.
+
+    Raises ValueError when a factor lives in another ring than other, when
+    left has a reflection part or when right has a rotation part.
+    """
+    ctx = other.ctx
+    if left.ctx != ctx or right.ctx != ctx:
+        raise ValueError("ring context mismatch")
+    m = ctx.m
+    if any(map(any, left.coeffs[m:])):
+        raise ValueError("left secret has a nonzero reflection half (outside R1)")
+    if any(map(any, right.coeffs[:m])):
+        raise ValueError("right secret has a nonzero rotation half (outside A2)")
+    return _terms(left.coeffs[:m]), _terms(right.coeffs[m:])
+
+
 def keypair_from_secrets(
     params: TwistedParams, left: RingElement, right: RingElement
 ) -> TwistedKeyPair:
-    pk = (left * params.h) * right
+    """left * h * right, by index shifts and field scalings.
+
+    left must lie in R1 and right in A2 (ValueError otherwise).
+    """
+    g, k = _secret_terms(left, right, params.h)
+    pk = _times_reflections(_times_rotations(g, params.h), k)
     return TwistedKeyPair(left, right, pk)
 
 
@@ -101,8 +124,13 @@ def keygen(params: TwistedParams, rng: Random) -> TwistedKeyPair:
 
 
 def shared_key(own: TwistedKeyPair, other_pk: RingElement) -> RingElement:
-    """Wrap the peer's public element in our secrets, adjoint on the right."""
-    return (own.left * other_pk) * own.right.adjoint()
+    """Wrap the peer's public element in our secrets, adjoint on the right.
+
+    own.left * other_pk * own.right.adjoint(), by index shifts and field
+    scalings; the secrets must lie in R1 and A2 (ValueError otherwise).
+    """
+    g, k = _secret_terms(own.left, own.right.adjoint(), other_pk)
+    return _times_reflections(_times_rotations(g, other_pk), k)
 
 
 def run_exchange(params: TwistedParams, rng: Random) -> ExchangeTranscript:
@@ -111,6 +139,63 @@ def run_exchange(params: TwistedParams, rng: Random) -> ExchangeTranscript:
     k_a = shared_key(alice, bob.pk)
     k_b = shared_key(bob, alice.pk)
     return ExchangeTranscript(params, alice, bob, k_a, k_a == k_b)
+
+
+# -- products by index shifts --------------------------------------------------
+
+
+def _terms(coeffs) -> list:
+    """The (exponent, coefficient) pairs of the nonzero coefficients."""
+    return [(e, c) for e, c in enumerate(coeffs) if any(c)]
+
+
+def _sum_terms(ctx: RingCtx, slots: list) -> RingElement:
+    """The element whose coefficient k is the sum of the field elements in slots[k]."""
+    fld = ctx.field
+    p, zero = fld.p, fld.zero
+    return RingElement(
+        ctx,
+        tuple(tuple(sum(c) % p for c in zip(*terms)) if terms else zero for terms in slots),
+    )
+
+
+def _add_rotations(slots: list, g, elem: RingElement) -> None:
+    """Append the terms of sum(s * x^i for i, s in g) * elem to their slots.
+
+    (s x^i) (c x^k y^l) = s c x^{i+k} y^l: each term rotates both halves of
+    elem by i and scales them by s, with no twist.
+    """
+    m, fld = elem.ctx.m, elem.ctx.field
+    nonzero = _terms(elem.coeffs)
+    for i, s in g:
+        for k, c in nonzero:
+            slots[(k + i) % m + (k >= m) * m].append(f_mul(fld, s, c))
+
+
+def _times_rotations(g, elem: RingElement) -> RingElement:
+    """sum(s * x^i for i, s in g) * elem, by index shifts."""
+    slots = [[] for _ in range(elem.ctx.group_size)]
+    _add_rotations(slots, g, elem)
+    return _sum_terms(elem.ctx, slots)
+
+
+def _times_reflections(elem: RingElement, terms) -> RingElement:
+    """elem * sum(s * x^e y for e, s in terms), by index shifts.
+
+    (c x^k) (x^e y) = c x^{k+e} y and (c x^k y) (x^e y) = c tau^e x^{k-e}.
+    """
+    ctx = elem.ctx
+    m, fld = ctx.m, ctx.field
+    slots = [[] for _ in range(ctx.group_size)]
+    nonzero = _terms(elem.coeffs)
+    for e, s in terms:
+        refl_s = f_mul(fld, s, ctx.twist_pows[e])
+        for k, c in nonzero:
+            if k < m:
+                slots[(k + e) % m + m].append(f_mul(fld, c, s))
+            else:
+                slots[(k - e) % m].append(f_mul(fld, c, refl_s))
+    return _sum_terms(ctx, slots)
 
 
 # -- key recovery from public data only --------------------------------------
@@ -123,34 +208,11 @@ def _rotated(elem: RingElement, i: int) -> RingElement:
     return RingElement(elem.ctx, rot[-i:] + rot[:-i] + refl[-i:] + refl[:-i])
 
 
-def _times_reflections(elem: RingElement, terms) -> RingElement:
-    """elem * sum(s * x^e y for e, s in terms), by index shifts.
-
-    (c x^k) (x^e y) = c x^{k+e} y and (c x^k y) (x^e y) = c tau^e x^{k-e}.
-    """
-    ctx = elem.ctx
-    m, fld = ctx.m, ctx.field
-    out = [fld.zero] * (2 * m)
-    for e, s in terms:
-        refl_s = f_mul(fld, s, ctx.twist_pows[e])
-        for k in range(m):
-            o = (k + e) % m + m
-            out[o] = f_add(fld, out[o], f_mul(fld, elem.coeffs[k], s))
-            o = (k - e) % m
-            out[o] = f_add(fld, out[o], f_mul(fld, elem.coeffs[k + m], refl_s))
-    return RingElement(ctx, tuple(out))
-
-
-def _orbit(m: int, j: int) -> set:
-    """Rotation exponents of the j-th symmetric orbit sum S_j = x^j y + x^{m-j} y."""
-    return {j, (m - j) % m}
-
-
 def _h_times_orbit_sums(params: TwistedParams) -> list:
     """h * S_j for j = 0 .. m//2, by index shifts."""
     ctx = params.ctx
     return [
-        _times_reflections(params.h, [(e, ctx.field.one) for e in _orbit(ctx.m, j)])
+        _times_reflections(params.h, [(e, ctx.field.one) for e in orbit(ctx.m, j)])
         for j in range(ctx.m // 2 + 1)
     ]
 
@@ -325,22 +387,14 @@ def solve(params: TwistedParams, rows: list, target_pk: RingElement):
 def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:
     """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}."""
     ctx = params.ctx
-    fld = ctx.field
-    m = ctx.m
-    adjoint_products = {}  # j -> other_pk * S_j^adj
-    key = [[0] * fld.n for _ in range(2 * m)]
+    by_orbit = {}  # j -> [(i, c_ij)]
     for (i, j), c in coeffs.items():
-        if j not in adjoint_products:
-            adjoint_products[j] = _times_reflections(
-                other_pk, [(e, ctx.twist_inv_pows[e]) for e in _orbit(m, j)]
-            ).coeffs
-        # rot_i sends slot k of either half to slot k + i of the same half
-        for g, x in enumerate(adjoint_products[j]):
-            if any(x):
-                acc = key[(g + i) % m + (g >= m) * m]
-                for r, v in enumerate(f_mul(fld, c, x)):
-                    acc[r] += v
-    return RingElement(ctx, tuple(tuple(v % fld.p for v in acc) for acc in key))
+        by_orbit.setdefault(j, []).append((i, c))
+    slots = [[] for _ in range(ctx.group_size)]
+    for j, g in by_orbit.items():
+        adjoint_sum = [(e, ctx.twist_inv_pows[e]) for e in orbit(ctx.m, j)]
+        _add_rotations(slots, g, _times_reflections(other_pk, adjoint_sum))
+    return _sum_terms(ctx, slots)
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:

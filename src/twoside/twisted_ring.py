@@ -299,29 +299,52 @@ def basis_a2(ctx: RingCtx) -> SubspaceBasis:
     return SubspaceBasis("symmetric reflections", _symmetric_basis(ctx, 1))
 
 
-def _sample_span(basis: SubspaceBasis, ctx: RingCtx, rng: Random) -> RingElement:
-    p = ctx.field.p
-    acc = RingElement.zero(ctx)
-    for elem in basis.elements:
-        c = rng.randrange(p)
-        if c:
-            acc = acc + elem.scale(c)
-    return acc
+def orbit(m: int, j: int) -> set:
+    """Rotation exponents of the j-th symmetric orbit: {j, m - j} mod m."""
+    return {j, (m - j) % m}
+
+
+def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbits: list) -> RingElement:
+    """sum over a < n and the orbits of c * t^a * (sum of x^e y^k, e in orbit).
+
+    One rng.randrange(p) per (a, orbit), a outer: the order of the basis
+    elements in basis_r1 and _symmetric_basis, so each orbit's F_{p^n}
+    coefficient sum_a c_a t^a is accumulated on ints without the basis.
+    """
+    fld = ctx.field
+    p = fld.p
+    sums = [[0] * fld.n for _ in orbits]
+    for tp in _t_powers(ctx):
+        for acc in sums:
+            c = rng.randrange(p)
+            if c:
+                for r, v in enumerate(tp):
+                    acc[r] += c * v
+    coeffs = [fld.zero] * ctx.group_size
+    for exps, acc in zip(orbits, sums):
+        c = tuple(v % p for v in acc)
+        for e in exps:
+            coeffs[e + ctx.m * k] = c
+    return RingElement(ctx, tuple(coeffs))
+
+
+def _symmetric_orbits(m: int) -> list:
+    return [orbit(m, j) for j in range(m // 2 + 1)]
 
 
 def sample_r1(ctx: RingCtx, rng: Random) -> RingElement:
-    """Uniform element of the rotation subring."""
-    return _sample_span(basis_r1(ctx), ctx, rng)
+    """Uniform element of the rotation subring, drawn as over basis_r1."""
+    return _sample_orbits(ctx, rng, 0, [(j,) for j in range(ctx.m)])
 
 
 def sample_a1(ctx: RingCtx, rng: Random) -> RingElement:
-    """Uniform element of the symmetric rotation subspace."""
-    return _sample_span(basis_a1(ctx), ctx, rng)
+    """Uniform element of the symmetric rotation subspace, drawn as over basis_a1."""
+    return _sample_orbits(ctx, rng, 0, _symmetric_orbits(ctx.m))
 
 
 def sample_a2(ctx: RingCtx, rng: Random) -> RingElement:
-    """Uniform element of the symmetric reflection subspace."""
-    return _sample_span(basis_a2(ctx), ctx, rng)
+    """Uniform element of the symmetric reflection subspace, drawn as over basis_a2."""
+    return _sample_orbits(ctx, rng, 1, _symmetric_orbits(ctx.m))
 
 
 def sample_element(ctx: RingCtx, rng: Random, full_support: bool = True) -> RingElement:
@@ -356,7 +379,10 @@ def ring_ctx_to_json(ctx: RingCtx) -> dict:
 
 
 def ring_ctx_from_json(obj: dict) -> RingCtx:
-    return make_ring_ctx(field_from_json(obj), obj["m"])
+    m = obj["m"]
+    if type(m) is not int:
+        raise ValueError("m must be an int")
+    return make_ring_ctx(field_from_json(obj), m)
 
 
 def element_to_json(elem: RingElement) -> dict:
@@ -386,17 +412,22 @@ def element_from_coeffs(ctx: RingCtx, items) -> RingElement:
 
     Checks every group index, duplicate and field coefficient, but not the
     field itself: ctx is trusted, so a transcript validates its field once.
+    Every index and coefficient must be a plain int (not a float or bool).
     """
     coeffs = [ctx.field.zero] * ctx.group_size
     seen = set()
     for i, k, c in items:
+        if type(i) is not int or type(k) is not int:
+            raise ValueError("group index is not an int")
         if not (0 <= i < ctx.m and k in (0, 1)):
             raise ValueError("group index out of range")
         idx = i + ctx.m * k
         if idx in seen:
             raise ValueError("duplicate coefficient entry")
         seen.add(idx)
-        if len(c) != ctx.field.n or any(not (0 <= v < ctx.field.p) for v in c):
+        if len(c) != ctx.field.n or any(
+            type(v) is not int or not 0 <= v < ctx.field.p for v in c
+        ):
             raise ValueError("coefficient is not a reduced field element")
         coeffs[idx] = tuple(c)
     return RingElement(ctx, tuple(coeffs))

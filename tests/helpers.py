@@ -190,6 +190,19 @@ def dense_twisted_replay(params, solution, other_pk, left_basis, right_basis):
     return acc
 
 
+def sample_span(basis, ctx: RingCtx, rng: Random) -> RingElement:
+    """sum c * b over the basis elements b, one rng.randrange(p) each, in order.
+
+    The samplers as first written: build the basis, add scaled copies.
+    """
+    acc = RingElement.zero(ctx)
+    for elem in basis.elements:
+        c = rng.randrange(ctx.field.p)
+        if c:
+            acc = acc + elem.scale(c)
+    return acc
+
+
 def symmetric_reflection_vectors(ctx: RingCtx):
     """Dimension count oracle: enumerate the constraint r_i = r_{m-i} directly.
 

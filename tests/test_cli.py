@@ -238,6 +238,34 @@ def test_attack_rejects_non_object_transcript(tmp_path, text):
     assert "Traceback" not in res.stderr
 
 
+def test_attack_rejects_deeply_nested_transcript(tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000)
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "cannot read transcript" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5])
+def test_attack_rejects_twisted_float_coefficients(tmp_path, value):
+    out = tmp_path / "t.json"
+    res = run_cli(
+        "exchange", "--scheme", "twisted", "--p", "3", "--fext", "1", "--m", "4",
+        "--seed", "5", "--out", str(out), cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    obj = read_json(out)
+    for items in (obj["params"]["h"], obj["alice_public"]):
+        items[0][2] = [value]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stdout
+    assert "malformed transcript" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_attack_rejects_digital_peer_key_of_wrong_size(tmp_path):
     small, big = tmp_path / "n3.json", tmp_path / "n4.json"
     for n, out in ((3, small), (4, big)):

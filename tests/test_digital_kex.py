@@ -11,6 +11,7 @@ from twoside.digital_kex import (
     MAX_N,
     DigitalParams,
     _chain,
+    _sandwich,
     attack,
     attack_columns,
     keygen,
@@ -39,7 +40,14 @@ from twoside.matrices import (
     zeros,
 )
 
-from helpers import dense_replay, mat_rows, naive_mat_mul, random_digit_tie_pair, w_dot
+from helpers import (
+    BOOL_OR_AND,
+    dense_replay,
+    mat_rows,
+    naive_mat_mul,
+    random_digit_tie_pair,
+    w_dot,
+)
 
 
 def identity_circulant(n):
@@ -194,6 +202,58 @@ def test_attack_columns_match_dense_products(data):
     gens = circulant_generators(W, n)
     columns, pairs = flatten_two_sided(params.matrix, gens, gens)
     assert attack_columns(params) == (columns, pairs, gens)
+
+
+def draw_circulant(data, values, n):
+    return Circulant(W, data.draw(st.lists(values, min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sandwich_matches_dense_products(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    values = st.one_of(st.just(INF), w_values(data))  # INF is the unit: weight it
+    left, right = draw_circulant(data, values, n), draw_circulant(data, values, n)
+    x = draw_matrix(data, values, n)
+    dense = left.expand() @ x @ right.expand()
+    assert _sandwich(left, x, right) == dense
+    l_x = naive_mat_mul(W, mat_rows(left.expand()), mat_rows(x))
+    assert mat_rows(dense) == naive_mat_mul(W, l_x, mat_rows(right.expand()))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_exchange_runs_without_matrix_products(n, monkeypatch):
+    rng = Random(40 + n)
+    params = random_params(n, rng)
+
+    def fail(*args):
+        raise AssertionError("the exchange formed a SemiringMatrix product")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SemiringMatrix, "__matmul__", fail)
+        tr = run_exchange(params, rng)
+    assert tr.keys_agree
+    for own, other in ((tr.alice, tr.bob), (tr.bob, tr.alice)):
+        assert own.pk == own.left.expand() @ params.matrix @ own.right.expand()
+        assert shared_key(own, other.pk) == (
+            own.left.expand() @ other.pk @ own.right.expand()
+        )
+
+
+def test_sandwich_keeps_the_matmul_errors():
+    circ3 = identity_circulant(3)
+    x3 = identity(W, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _sandwich(identity_circulant(4), x3, circ3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _sandwich(circ3, x3, identity_circulant(2))
+    with pytest.raises(ValueError, match="semiring mismatch"):
+        _sandwich(circ3, identity(BOOL_OR_AND, 3), circ3)
+    with pytest.raises(ValueError, match="semiring mismatch"):
+        _sandwich(circ3, x3, Circulant(BOOL_OR_AND, (True, False, False)))
+    pair = keygen(random_params(3, Random(5)), Random(6))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        shared_key(pair, identity(W, 4))
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,6 +179,37 @@ def test_field_json_round_trip():
     assert field_from_json(field_to_json(ctx2)) == ctx2
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("p", 5.0),
+        ("p", True),
+        ("n", 2.0),
+        ("modulus", [2.0, 1, 1]),
+        ("modulus", [2, 1, True]),
+        ("t", ["0", 1]),
+        ("t", [0.5, 1]),
+    ],
+)
+def test_field_from_json_rejects_entries_that_are_not_ints(key, value):
+    obj = dict(field_to_json(make_test_field(5, 2)), **{key: value})
+    with pytest.raises(ValueError, match="must be ints"):
+        field_from_json(obj)
+
+
+def test_equal_fields_hash_equal_and_share_cache_entries():
+    fld = make_test_field(7, 2)
+    twin = FieldCtx(fld.p, fld.n, list(fld.modulus), list(fld.t))
+    assert twin is not fld and twin == fld and hash(twin) == hash(fld)
+    assert hash(fld) == hash((fld.p, fld.n, fld.modulus, fld.t))
+    a, b = element_from_index(fld, 38), element_from_index(fld, 45)
+    product = f_mul(fld, a, b)
+    before = f_mul.cache_info()
+    assert f_mul(twin, a, b) == product
+    after = f_mul.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 # -- gaussian elimination -----------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from twoside.errors import AttackError
 from twoside.gf import gauss_solve, gauss_solve_full
 from twoside.twisted_kex import (
     MAX_SYSTEM_CELLS,
+    TwistedKeyPair,
     TwistedParams,
     attack,
     attack_system,
@@ -273,6 +274,69 @@ def draw_params(data, max_m=8):
 def test_basis_products_match_dense_products(data):
     params = draw_params(data)
     assert basis_products(params) == dense_basis_products(params)
+
+
+def draw_half(data, ctx, k):
+    """A sparse element with only its rotation (k = 0) or reflection (k = 1) half."""
+    elem = draw_element(data, ctx, "sparse")
+    return elem.rotation_part() if k == 0 else elem.reflection_part()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exchange_matches_ring_products(data):
+    params = draw_params(data)
+    ctx = params.ctx
+    sampled = data.draw(st.booleans(), label="sampled secrets")
+    if sampled:
+        rng = Random(data.draw(st.integers(0, 2**32)))
+        left, right = twisted_ring.sample_r1(ctx, rng), twisted_ring.sample_a2(ctx, rng)
+    else:
+        left, right = draw_half(data, ctx, 0), draw_half(data, ctx, 1)
+    pair = keypair_from_secrets(params, left, right)
+    assert pair.pk == (left * params.h) * right
+    assert pair.pk == naive_ring_mul(naive_ring_mul(left, params.h), right)
+    other_pk = draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse", "zero"])))
+    key = shared_key(pair, other_pk)
+    assert key == (left * other_pk) * right.adjoint()
+    assert key == naive_ring_mul(naive_ring_mul(left, other_pk), right.adjoint())
+
+
+@pytest.mark.parametrize("p,n,m", TWISTED_GRID)
+def test_exchange_runs_without_ring_products(p, n, m, monkeypatch):
+    rng = Random(60 + p + n + m)
+    params = random_params(p, n, m, rng)
+
+    def fail(*args):
+        raise AssertionError("the exchange formed a generic ring product")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(RingElement, "__mul__", fail)
+        tr = run_exchange(params, rng)
+    assert tr.keys_agree
+    for own, other in ((tr.alice, tr.bob), (tr.bob, tr.alice)):
+        assert own.pk == (own.left * params.h) * own.right
+        assert shared_key(own, other.pk) == (own.left * other.pk) * own.right.adjoint()
+
+
+def test_exchange_rejects_secrets_outside_their_key_spaces():
+    params = fixed_params(3, 2, 4)
+    ctx = params.ctx
+    rotation, reflection = RingElement.single(ctx, 1, 0), RingElement.single(ctx, 2, 1)
+    with pytest.raises(ValueError, match="R1"):
+        keypair_from_secrets(params, rotation + reflection, reflection)
+    with pytest.raises(ValueError, match="A2"):
+        keypair_from_secrets(params, rotation, rotation + reflection)
+    pair = keypair_from_secrets(params, rotation, reflection)
+    with pytest.raises(ValueError, match="R1"):
+        shared_key(TwistedKeyPair(reflection, reflection, pair.pk), params.h)
+    with pytest.raises(ValueError, match="A2"):
+        shared_key(TwistedKeyPair(rotation, rotation, pair.pk), params.h)
+    other_ctx = make_ring_ctx(make_test_field(3, 2), 5)
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        shared_key(pair, RingElement.one(other_ctx))
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        keypair_from_secrets(params, RingElement.one(other_ctx), reflection)
 
 
 @settings(max_examples=25, deadline=None)

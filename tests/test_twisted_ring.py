@@ -4,6 +4,8 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoside.gf import f_inv, f_mul, f_pow, make_field_ctx
 from twoside.twisted_ring import (
@@ -15,12 +17,14 @@ from twoside.twisted_ring import (
     cocycle,
     dihedral_inv,
     dihedral_mul,
+    element_from_coeffs,
     element_from_json,
     element_to_json,
     flatten,
     make_ring_ctx,
     ring_ctx_from_json,
     ring_ctx_to_json,
+    sample_a1,
     sample_a2,
     sample_element,
     sample_r1,
@@ -31,6 +35,7 @@ from helpers import (
     TWISTED_GRID,
     make_test_field,
     naive_ring_mul,
+    sample_span,
     symmetric_reflection_vectors,
 )
 
@@ -312,6 +317,21 @@ def test_sampler_supports():
                 assert k.coeff(i, 1) == k.coeff((m - i) % m, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+)
+def test_samplers_match_the_basis_span(p, n, m, seed):
+    ctx = ring(p, n, m)
+    for sampler, basis in ((sample_r1, basis_r1), (sample_a1, basis_a1), (sample_a2, basis_a2)):
+        rng, oracle_rng = Random(seed), Random(seed)
+        assert sampler(ctx, rng) == sample_span(basis(ctx), ctx, oracle_rng)
+        assert rng.random() == oracle_rng.random()
+
+
 def test_distinct_seeds_give_distinct_samples():
     ctx = ring(3, 2, 4)  # p^n * m = 36 > 16
     a = sample_element(ctx, Random(1))
@@ -359,6 +379,29 @@ def test_element_json_rejects_garbage():
     bad = dict(base, coeffs=[[0, 0, [1, 0, 0]], [0, 0, [1, 0, 0]]])
     with pytest.raises(ValueError):
         element_from_json(bad, ctx)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [0, 0, [1.0, 0, 0]],  # float coefficient
+        [0, 0, [True, 0, 0]],  # bool coefficient
+        [0, 0, ["1", 0, 0]],  # string coefficient
+        [1.0, 0, [1, 0, 0]],  # float rotation index
+        [0, True, [1, 0, 0]],  # bool reflection bit
+    ],
+)
+def test_element_from_coeffs_rejects_entries_that_are_not_ints(entry):
+    ctx = ring(2, 3, 5)
+    with pytest.raises(ValueError):
+        element_from_coeffs(ctx, [entry])
+
+
+@pytest.mark.parametrize("m", [4.0, True, "4"])
+def test_ring_ctx_from_json_rejects_m_that_is_not_an_int(m):
+    obj = dict(ring_ctx_to_json(ring(3, 2, 4)), m=m)
+    with pytest.raises(ValueError):
+        ring_ctx_from_json(obj)
 
 
 def test_ring_ctx_json_round_trip():
