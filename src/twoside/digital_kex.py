@@ -15,8 +15,9 @@ key, no secrets needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+import sys
+from array import array
+from dataclasses import dataclass
 from random import Random
 from typing import Tuple
 
@@ -25,7 +26,6 @@ from .digital import (
     MAX_FINITE,
     W,
     digit_sum,
-    is_value,
     value_from_json,
     value_to_json,
 )
@@ -140,11 +140,57 @@ def run_exchange(params: DigitalParams, rng: Random) -> ExchangeTranscript:
 # max-min linear system.  Its maximal solution is the residuation of the
 # target by the columns (Cuninghame-Green, Minimax Algebra, 1979; Butkovic,
 # Max-linear Systems, 2010), and the replay is one max-min combination.
+#
+# The ranks of a flattened n x n matrix are packed into one int, entry l in
+# bits 16l .. 16l+15.  A rank fits in 15 bits, so bit 15 of every lane is a
+# guard that stays 0 in packed ranks.  ((a | G) - b) & G then has the guard
+# bit of each lane set where a >= b, with no borrow across lanes, and
+# m - (m >> 15) widens those guard bits to a value mask (after Lamport,
+# "Multiple byte processing with full-word instructions", CACM 1975).  Every
+# shifted copy of a matrix, and every compare, min and max over all n^2
+# entries, is then a few int operations.
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _rotated_down(flat, n: int) -> list:
-    """For i = 0 .. n-1, the flattened n x n matrix rotated down by i rows."""
-    return [flat[s:] + flat[:s] for s in [(n - i) * n for i in range(n)]]
+def _pack(ranks) -> int:
+    """Ranks below 2^15, one 16-bit lane each, the first in the lowest bits."""
+    lanes = array("H", ranks)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _unpack(packed: int, size: int) -> array:
+    """The first `size` lanes of a packed int, as an array of ranks."""
+    lanes = array("H", packed.to_bytes(2 * size, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes
+
+
+def _lane_constants(n: int) -> Tuple[int, int]:
+    """ONES (1 in each of the n*n lanes) and GUARD (bit 15 of each lane)."""
+    ones = ((1 << 16 * n * n) - 1) // 0xFFFF
+    return ones, ones << 15
+
+
+def _rows_down(x: int, n: int) -> list:
+    """For i = 0 .. n-1, the packed n x n matrix x rotated down by i rows."""
+    bits = 16 * n * n
+    full = (1 << bits) - 1
+    return [((x << s) & full) | (x >> (bits - s)) for s in range(0, bits, 16 * n)]
+
+
+def _rows_left(x: int, n: int) -> list:
+    """For j = 0 .. n-1, every row of the packed n x n matrix x rotated left by j."""
+    full = (1 << 16 * n * n) - 1
+    row_ones = full // ((1 << 16 * n) - 1)  # the lowest lane of every row
+    out = []
+    for j in range(n):
+        lo = row_ones * ((1 << 16 * (n - j)) - 1)  # columns c < n - j
+        out.append(((x >> 16 * j) & lo) | ((x << 16 * (n - j)) & (full ^ lo)))
+    return out
 
 
 def _shifted_columns(rows) -> tuple:
@@ -158,6 +204,35 @@ def _shifted_columns(rows) -> tuple:
     bases = [tuple(v for row in rows for v in row[j:] + row[:j]) for j in range(n)]
     cuts = [(n - i) * n for i in range(n)]
     return tuple(base[s:] + base[:s] for s in cuts for base in bases)
+
+
+def _shifted_copies(x: int, n: int) -> list:
+    """Packed copies of x with entry (r, c) taken from x[r - i][c + j].
+
+    The packed form of _shifted_columns, in the same row-major (i, j) order.
+    """
+    by_j = [_rows_down(base, n) for base in _rows_left(x, n)]
+    return [down[i] for i in range(n) for down in by_j]
+
+
+def _max_min(zs, copies, n: int) -> int:
+    """Packed ranks of sum_k z_k * H_k: lanewise max over k of min(z_k, H_k)."""
+    ones, guard = _lane_constants(n)
+    acc = 0
+    for z, h in zip(zs, copies):
+        if z:  # rank 0 is the zero: it adds nothing
+            zz = z * ones
+            m = ((h | guard) - zz) & guard  # h >= z
+            t = h ^ ((h ^ zz) & (m - (m >> 15)))  # min(z, h)
+            m = ((t | guard) - acc) & guard  # t >= acc
+            acc ^= (acc ^ t) & (m - (m >> 15))
+    return acc
+
+
+def _matrix(packed: int, values: list, n: int) -> SemiringMatrix:
+    """The n x n matrix over W whose ranks are packed into `packed`."""
+    flat = [values[a] for a in _unpack(packed, n * n)]
+    return SemiringMatrix(W, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
 
 
 def generators(n: int) -> Tuple[tuple, tuple]:
@@ -184,35 +259,24 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
 def _chain(*groups) -> Tuple[list, dict]:
     """The given values plus 0 and INF in W's order, and each value's rank.
 
-    Rank 0 is 0, the bottom; the last rank is INF, the top.
+    Rank 0 is 0, the bottom; the last rank is INF, the top.  Raises
+    ValueError for more than 2^15 values: a rank must fit a 15-bit lane.
     """
     values = sorted({0, INF}.union(*groups), key=lambda v: (digit_sum(v), v))
+    if len(values) > 1 << 15:
+        raise ValueError(f"{len(values)} distinct values: ranks overflow 15-bit lanes")
     return values, {v: r for r, v in enumerate(values)}
 
 
-def _ranked(mat: SemiringMatrix, rank: dict) -> list:
-    return [[rank[v] for v in row] for row in mat.rows]
-
-
-def _max_min(zs, columns) -> list:
-    """Ranks of sum_k z_k * H_k: componentwise max over k of min(z_k, H_k)."""
-    acc = [0] * len(columns[0])
-    for z, col in zip(zs, columns):
-        if z:  # rank 0 is the zero: it adds nothing
-            acc = [a if a > (t := h if h < z else z) else t for a, h in zip(acc, col)]
-    return acc
-
-
 def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringMatrix:
-    """left.expand() @ x @ right.expand(), computed on ranks in W's order.
+    """left.expand() @ x @ right.expand(), computed on packed ranks.
 
     A circulant with first column l is sum_i l_i * C_i, and C_i X C_j is X
     shifted by index (see attack_columns).  So (L X)[r][c] is the max over i
     of min(l_i, X[r - i][c]): X rotated down by i rows.  (Y R)[r][c] is the
-    max over j of min(r_j, Y[r][c + j]): each row of Y rotated left by j,
-    which is the same pass on the transpose, with Y's columns as rows and
-    r_{-i} for l_i.  Raises the ValueErrors of the @ path: a factor not over
-    W, or a size mismatch between the circulants and the matrix.
+    max over j of min(r_j, Y[r][c + j]): each row of Y rotated left by j.
+    Raises the ValueErrors of the @ path: a factor not over W, or a size
+    mismatch between the circulants and the matrix.
     """
     if left.sr is not W or x.sr is not W or right.sr is not W:
         raise ValueError("semiring mismatch")
@@ -221,35 +285,49 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
         raise ValueError(f"dimension mismatch: {left.n} vs {n}")
     if right.n != n:
         raise ValueError(f"dimension mismatch: {n} vs {right.n}")
-    values, rank = _chain(left.col, right.col, x.flat())
-    flat = [rank[v] for row in x.rows for v in row]
-    y = _max_min([rank[v] for v in left.col], _rotated_down(flat, n))
-    y_t = list(chain.from_iterable(y[c::n] for c in range(n)))
-    col = right.col
-    acc_t = _max_min([rank[v] for v in col[:1] + col[:0:-1]], _rotated_down(y_t, n))
-    return SemiringMatrix(
-        W, tuple(tuple(values[a] for a in acc_t[r::n]) for r in range(n))
-    )
+    flat = x.flat()
+    values, rank = _chain(left.col, right.col, flat)
+    packed = _pack([rank[v] for v in flat])
+    y = _max_min([rank[v] for v in left.col], _rows_down(packed, n), n)
+    acc = _max_min([rank[v] for v in right.col], _rows_left(y, n), n)
+    return _matrix(acc, values, n)
 
 
 def solve(params: DigitalParams, target_pk: SemiringMatrix):
     """The maximal solution of the attack system for target_pk, or None.
 
     Returns what solver.maximal_solution(LinearSystem(attack_columns(params)[0],
-    target_pk.flat()), W, w_max_component) returns, computed on ranks: the
-    largest z_k with z_k * H_k <= Y is min{ y_l : H_k[l] > y_l }, or INF
-    when no component constrains it, and the candidate solves the system
-    exactly when any combination does.
+    target_pk.flat()), W, w_max_component) returns, computed on packed
+    ranks: the largest z_k with z_k * H_k <= Y is min{ y_l : H_k[l] > y_l },
+    or INF when no component constrains it, and the candidate solves the
+    system exactly when any combination does.
+
+    The candidate is verified in the same loop.  Each min(z_k, H_k[l]) is at
+    most y_l: where H_k[l] > y_l, z_k <= y_l by the choice of z_k.  So the
+    max over k equals y_l, which is what _max_min(zs, columns) == Y tests,
+    iff some k has min(z_k, H_k[l]) >= y_l, that is H_k[l] >= y_l and
+    z_k >= y_l.  `cover` collects, in each lane's guard bit, whether some k
+    so far does; the candidate solves the system iff every lane is covered.
     """
     target = target_pk.flat()
-    if len(target) != params.n * params.n:
+    n = params.n
+    size = n * n
+    if len(target) != size:
         raise ValueError("column length must match target length")
-    values, rank = _chain(target, params.matrix.flat())
-    top = len(values) - 1
-    ys = [rank[v] for v in target]
-    columns = _shifted_columns(_ranked(params.matrix, rank))
-    zs = [min([y for h, y in zip(col, ys) if h > y], default=top) for col in columns]
-    if _max_min(zs, columns) != ys:
+    matrix = params.matrix.flat()
+    values, rank = _chain(target, matrix)
+    ones, guard = _lane_constants(n)
+    ys = _pack([rank[v] for v in target])
+    ys_g = ys | guard
+    tops = (len(values) - 1) * ones
+    zs = []
+    cover = 0
+    for h in _shifted_copies(_pack([rank[v] for v in matrix]), n):
+        m = ((ys_g - h) & guard) ^ guard  # h > y
+        z = min(_unpack(tops ^ ((tops ^ ys) & (m - (m >> 15))), size))
+        zs.append(z)
+        cover |= ((h | guard) - ys) & ((z * ones | guard) - ys)
+    if cover & guard != guard:
         return None
     return tuple(values[z] for z in zs)
 
@@ -266,19 +344,17 @@ def recover_shared_key(
     Returns the sum of z_k * C_i other_pk C_j with (i, j) = pairs[k].  By the
     permutation identity of attack_columns (INF * x = x, 0 * x = 0,
     0 + x = x), each product is an index-shifted copy of other_pk, so no
-    matrix product is formed; the sum runs on ranks in W's order.  `pairs`
-    and `gens` must be the ones attack_columns returned: the shifted copies
-    are taken in the same row-major (i, j) order, and neither is read
-    otherwise.
+    matrix product is formed; the sum runs on packed ranks.  `pairs` and
+    `gens` must be the ones attack_columns returned: the shifted copies are
+    taken in the same row-major (i, j) order, and neither is read otherwise.
+    Raises ValueError when other_pk is not n x n.
     """
-    values, rank = _chain(solution, other_pk.flat())
-    acc = _max_min(
-        [rank[z] for z in solution], _shifted_columns(_ranked(other_pk, rank))
-    )
     n = params.n
-    return SemiringMatrix(
-        W, tuple(tuple(values[a] for a in acc[r * n : (r + 1) * n]) for r in range(n))
-    )
+    _require_size(n, other_pk.n, "matrix")
+    other = other_pk.flat()
+    values, rank = _chain(solution, other)
+    copies = _shifted_copies(_pack([rank[v] for v in other]), n)
+    return _matrix(_max_min([rank[z] for z in solution], copies, n), values, n)
 
 
 def _require_size(n: int, size: int, what: str) -> None:
@@ -314,9 +390,13 @@ def params_to_json(params: DigitalParams) -> dict:
 
 
 def params_from_json(obj: dict) -> DigitalParams:
+    """The public parameters; n and the entry bound must be plain ints."""
     n = obj["n"]
+    bound = obj.get("entry_bound", DEFAULT_ENTRY_BOUND)
+    if type(n) is not int or type(bound) is not int:
+        raise ValueError("n and entry_bound must be ints")
     matrix = matrix_from_json(obj["matrix"], W, value_from_json)
-    return DigitalParams(n, matrix, obj.get("entry_bound", DEFAULT_ENTRY_BOUND))
+    return DigitalParams(n, matrix, bound)
 
 
 def transcript_to_json(tr: ExchangeTranscript, include_secrets: bool = False) -> dict:

@@ -148,6 +148,8 @@ def matrix_to_json(mat: SemiringMatrix, encode) -> dict:
 
 def matrix_from_json(obj: dict, sr: Semiring, decode) -> SemiringMatrix:
     n = obj["n"]
+    if type(n) is not int:
+        raise ValueError("matrix size must be an int")
     rows = obj["rows"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix JSON shape does not match its declared size")
@@ -159,7 +161,10 @@ def circulant_to_json(circ: Circulant, encode) -> dict:
 
 
 def circulant_from_json(obj: dict, sr: Semiring, decode) -> Circulant:
+    n = obj["n"]
+    if type(n) is not int:
+        raise ValueError("circulant size must be an int")
     col = obj["c"]
-    if len(col) != obj["n"]:
+    if len(col) != n:
         raise ValueError("circulant JSON shape does not match its declared size")
     return Circulant(sr, tuple(decode(v) for v in col))

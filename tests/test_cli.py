@@ -281,6 +281,36 @@ def test_attack_rejects_digital_peer_key_of_wrong_size(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("params", "n"), 3.0, "n and entry_bound must be ints"),
+        (("params", "entry_bound"), 2.5, "n and entry_bound must be ints"),
+        (("params", "matrix", "n"), 3.0, "matrix size must be an int"),
+        (("alice_public", "n"), 3.0, "matrix size must be an int"),
+        (("secrets", "bob_left", "n"), 3.0, "circulant size must be an int"),
+    ],
+)
+def test_attack_rejects_digital_sizes_that_are_not_ints(tmp_path, path, value, message):
+    out = tmp_path / "t.json"
+    res = run_cli(
+        "exchange", "--n", "3", "--seed", "9", "--insecure-dump", "--out", str(out),
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    obj = read_json(out)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stdout
+    assert f"malformed transcript: {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_attack_rejects_transcript_over_n_cap(tmp_path):
     n = 33
     mat = {"n": n, "rows": [[1] * n for _ in range(n)]}

@@ -320,6 +320,48 @@ def test_recover_shared_key_all_zero_solution(n):
     assert dense_replay(solution, other_pk, pairs, gens) == zeros(W, n)
 
 
+# -- the packed rank lanes at their edges -------------------------------------------
+
+
+def test_widest_chain_fits_a_15_bit_lane():
+    # the widest chain is solve's and recover_shared_key's: 2 n^2 values plus 0 and INF
+    assert 2 * MAX_N**2 + 2 < 1 << 15
+
+
+def test_chain_longer_than_a_lane_raises():
+    assert len(_chain(range((1 << 15) - 1))[0]) == 1 << 15  # plus INF: fits
+    with pytest.raises(ValueError, match="15-bit lanes"):
+        _chain(range(1 << 15))
+
+
+def test_exchange_and_attack_at_the_size_cap():
+    rng = Random(50)
+    params = random_params(MAX_N, rng)
+    tr = run_exchange(params, rng)
+    for own, other in ((tr.alice, tr.bob), (tr.bob, tr.alice)):
+        assert own.pk == own.left.expand() @ params.matrix @ own.right.expand()
+        assert shared_key(own, other.pk) == (
+            own.left.expand() @ other.pk @ own.right.expand()
+        )
+    assert tr.keys_agree
+    assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
+
+
+@pytest.mark.parametrize("honest", [False, True])
+def test_solve_on_all_distinct_values_matches_maximal_solution(honest):
+    n = 16
+    rng = Random(51)
+    values = rng.sample(range(10**18), 2 * n * n)
+    rows = [values[r * n : (r + 1) * n] for r in range(2 * n)]
+    params = DigitalParams(n, SemiringMatrix(W, rows[:n]))
+    # all-distinct target: the widest chain; an honest key: a target in the span
+    target = run_exchange(params, rng).alice.pk if honest else SemiringMatrix(W, rows[n:])
+    system = LinearSystem(attack_columns(params)[0], target.flat())
+    expected = maximal_solution(system, W, w_max_component)
+    assert solve(params, target) == expected
+    assert (expected is not None) == honest
+
+
 def test_attack_rejects_unreachable_public_matrix():
     rng = Random(15)
     params = random_params(3, rng)
@@ -340,6 +382,13 @@ def test_attack_rejects_other_pk_of_wrong_size():
     tr4 = run_exchange(random_params(4, rng), rng)
     with pytest.raises(ValueError, match="4 x 4, not 3 x 3"):
         attack(params3, tr3.alice.pk, tr4.bob.pk)
+
+
+def test_recover_shared_key_rejects_other_pk_of_wrong_size():
+    params = random_params(3, Random(18))
+    _, pairs, gens = attack_columns(params)
+    with pytest.raises(ValueError, match="4 x 4, not 3 x 3"):
+        recover_shared_key(params, (INF,) * 9, zeros(W, 4), pairs, gens)
 
 
 # -- validation and serialization -----------------------------------------------------
