@@ -18,10 +18,12 @@ import csv
 import itertools
 import json
 import math
+import statistics
 import sys
 import time
+from functools import partial
 from random import Random, SystemRandom
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import digital_kex, twisted_kex
 from .digital import value_to_json
@@ -35,6 +37,8 @@ EXIT_MISMATCH = 3
 EXIT_SOLVER = 4
 
 MAX_TRIALS = 10000
+
+SCHEMES = {"digital": digital_kex, "twisted": twisted_kex}
 
 
 def _int_list(text: str) -> List[int]:
@@ -108,12 +112,6 @@ def _pick_seed(args) -> int:
     return SystemRandom().getrandbits(64)
 
 
-def _single(parser: argparse.ArgumentParser, values: List[int], flag: str) -> int:
-    if len(values) != 1:
-        parser.error(f"{flag} takes a single value here")
-    return values[0]
-
-
 def _validate_twisted(
     parser: argparse.ArgumentParser, p: int, fext: int, m: int, attack: bool = False
 ) -> None:
@@ -141,114 +139,105 @@ def _validate_digital(parser: argparse.ArgumentParser, n: int, bound: int) -> No
         parser.error("--entry-bound must be positive")
 
 
+def _grid(parser: argparse.ArgumentParser, args, attack: bool = False) -> List[Tuple[str, tuple]]:
+    """The validated (label, shape) of every combo of the size options.
+
+    A shape is (n,) or (p, fext, m), its label "n=3" or "p=2;fext=2;m=3".
+    With attack=True an over-cap twisted attack system is rejected too.
+    """
+    if args.scheme == "digital":
+        axes = {"n": args.n}
+    else:
+        axes = {"p": args.p, "fext": args.fext, "m": args.m}
+    axes = {name: sorted(set(values)) for name, values in axes.items()}
+    # counted before the grid is formed: the lists multiply
+    size = math.prod(map(len, axes.values()))
+    trials = getattr(args, "trials", 1)
+    if size * trials > MAX_TRIALS:
+        parser.error(
+            f"a grid of {size} combos x {trials} trials exceeds the cap of "
+            f"{MAX_TRIALS} trials"
+        )
+    grid = []
+    for shape in itertools.product(*axes.values()):
+        if args.scheme == "digital":
+            _validate_digital(parser, *shape, args.entry_bound)
+        else:
+            _validate_twisted(parser, *shape, attack=attack)
+        grid.append((";".join(f"{k}={v}" for k, v in zip(axes, shape)), shape))
+    return grid
+
+
+def _random_params(
+    scheme: str, shape: tuple, rng: Random, bound: int = digital_kex.DEFAULT_ENTRY_BOUND
+):
+    if scheme == "digital":
+        return digital_kex.random_params(*shape, rng, bound)
+    return twisted_kex.random_params(*shape, rng)
+
+
 def cmd_exchange(parser: argparse.ArgumentParser, args) -> int:
+    grid = _grid(parser, args)
+    if len(grid) != 1:
+        parser.error("exchange takes a single value of each size option")
+    (label, shape), = grid
     seed = _pick_seed(args)
     rng = Random(seed)
-    if args.scheme == "digital":
-        n = _single(parser, args.n, "--n")
-        _validate_digital(parser, n, args.entry_bound)
-        params = digital_kex.random_params(n, rng, args.entry_bound)
-        tr = digital_kex.run_exchange(params, rng)
-        obj = digital_kex.transcript_to_json(tr, include_secrets=args.insecure_dump)
-        summary = f"digital n={n}"
-    else:
-        p = _single(parser, args.p, "--p")
-        fext = _single(parser, args.fext, "--fext")
-        m = _single(parser, args.m, "--m")
-        _validate_twisted(parser, p, fext, m)
-        params = twisted_kex.random_params(p, fext, m, rng)
-        tr = twisted_kex.run_exchange(params, rng)
-        obj = twisted_kex.transcript_to_json(tr, include_secrets=args.insecure_dump)
-        summary = f"twisted p={p} fext={fext} m={m}"
+    module = SCHEMES[args.scheme]
+    tr = module.run_exchange(_random_params(args.scheme, shape, rng, args.entry_bound), rng)
+    obj = module.transcript_to_json(tr, include_secrets=args.insecure_dump)
     obj["seed"] = seed
     with open(args.out, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-    print(f"scheme: {summary}")
+    print(f"scheme: {args.scheme} {label.replace(';', ' ')}")
     print(f"seed: {seed}")
     print(f"transcript: {args.out}")
     print(f"keys_agree: {str(tr.keys_agree).lower()}")
     return EXIT_OK if tr.keys_agree else EXIT_MISMATCH
 
 
-def _attack_digital(obj: dict, dump_path: Optional[str]) -> Tuple[dict, list, int]:
-    tr = digital_kex.transcript_from_json(obj)
-    params = tr.params
-    reference = tr.shared_key if obj.get("secrets") else None
+def _dump_system(scheme: str, params, target, path: str) -> None:
+    """Write the paper's attack system for target as JSON {columns, target}."""
+    if scheme == "digital":
+        columns = [
+            [value_to_json(v) for v in col] for col in digital_kex.attack_columns(params)[0]
+        ]
+        target = [value_to_json(v) for v in target.flat()]
+    else:
+        # the paper's system, not the n times narrower one that _attack solves
+        rows, target = twisted_kex.attack_system(params, target)[:2]
+        columns = [list(col) for col in zip(*rows)]
+    with open(path, "w") as fh:
+        json.dump({"columns": columns, "target": list(target)}, fh)
 
+
+def _attack(scheme: str, params, directions) -> Tuple[list, Tuple[int, int], float, float]:
+    """Solve for each (target, other) public pair and replay against other.
+
+    Returns the recovered keys, the (unknowns, equations) shape of the
+    system solved, and the solve and total wall times in ms.  Raises
+    AttackError when a target is outside the span.
+    """
     t_total = time.perf_counter()
-    if dump_path:
-        columns = digital_kex.attack_columns(params)[0]
-        with open(dump_path, "w") as fh:
-            json.dump(
-                {
-                    "columns": [[value_to_json(v) for v in col] for col in columns],
-                    "target": [value_to_json(v) for v in tr.alice.pk.flat()],
-                },
-                fh,
-            )
-    pairs, gens = digital_kex.generators(params.n)
-    recovered = []
+    if scheme == "digital":
+        solve = partial(digital_kex.solve, params)
+        shape = (params.n * params.n,) * 2
+    else:
+        # the rows depend only on the public parameters: build them once
+        rows = twisted_kex.system_rows(params)
+        solve = partial(twisted_kex.solve, params, rows)
+        shape = (len(rows[0]), len(rows))
+    keys = []
     solve_ms = 0.0
-    for target, other in (
-        (tr.alice.pk, tr.bob.pk),
-        (tr.bob.pk, tr.alice.pk),
-    ):
+    for target, other in directions:
         t0 = time.perf_counter()
-        solution = digital_kex.solve(params, target)
+        solution = solve(target)
         solve_ms += (time.perf_counter() - t0) * 1000.0
         if solution is None:
-            raise AttackError("no solution for a public matrix")
-        recovered.append(
-            digital_kex.recover_shared_key(params, solution, other, pairs, gens)
-        )
-    attack_ms = (time.perf_counter() - t_total) * 1000.0
-
-    unknowns = params.n * params.n
-    report = {
-        "scheme": "digital",
-        "unknowns": unknowns,
-        "equations": unknowns,
-        "solve_ms": round(solve_ms, 3),
-        "attack_ms": round(attack_ms, 3),
-    }
-    return report, recovered, reference
-
-
-def _attack_twisted(obj: dict, dump_path: Optional[str]) -> Tuple[dict, list, int]:
-    tr = twisted_kex.transcript_from_json(obj)
-    params = tr.params
-    reference = tr.shared_key if obj.get("secrets") else None
-
-    t_total = time.perf_counter()
-    # the rows depend only on the public parameters: build them once
-    rows = twisted_kex.system_rows(params)
-    unknowns, equations = len(rows[0]), len(rows)
-    if dump_path:
-        # the dump is the paper's system, not the reduced one solved below
-        paper_rows, target = twisted_kex.attack_system(params, tr.alice.pk)[:2]
-        columns = [list(col) for col in zip(*paper_rows)]
-        with open(dump_path, "w") as fh:
-            json.dump({"columns": columns, "target": list(target)}, fh)
-    recovered = []
-    solve_ms = 0.0
-    for target_pk, other in ((tr.alice.pk, tr.bob.pk), (tr.bob.pk, tr.alice.pk)):
-        t0 = time.perf_counter()
-        coeffs = twisted_kex.solve(params, rows, target_pk)
-        solve_ms += (time.perf_counter() - t0) * 1000.0
-        if coeffs is None:
-            raise AttackError("no solution for a public element")
-        recovered.append(twisted_kex.replay(params, coeffs, other))
-    attack_ms = (time.perf_counter() - t_total) * 1000.0
-
-    report = {
-        "scheme": "twisted",
-        "unknowns": unknowns,
-        "equations": equations,
-        "solve_ms": round(solve_ms, 3),
-        "attack_ms": round(attack_ms, 3),
-    }
-    return report, recovered, reference
+            raise AttackError("no solution for a public key")
+        keys.append(SCHEMES[scheme].replay(params, solution, other))
+    return keys, shape, solve_ms, (time.perf_counter() - t_total) * 1000.0
 
 
 def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
@@ -262,13 +251,16 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
         parser.error("malformed transcript: the top level must be a JSON object")
 
     scheme = obj.get("scheme")
+    # a tuple, not the dict: the JSON value may be unhashable
+    if scheme not in tuple(SCHEMES):
+        parser.error(f"unknown scheme in transcript: {scheme!r}")
     try:
-        if scheme == "digital":
-            report, recovered, reference = _attack_digital(obj, args.dump_system)
-        elif scheme == "twisted":
-            report, recovered, reference = _attack_twisted(obj, args.dump_system)
-        else:
-            parser.error(f"unknown scheme in transcript: {scheme!r}")
+        tr = SCHEMES[scheme].transcript_from_json(obj)
+        if args.dump_system:
+            _dump_system(scheme, tr.params, tr.alice.pk, args.dump_system)
+        keys, (unknowns, equations), solve_ms, attack_ms = _attack(
+            scheme, tr.params, ((tr.alice.pk, tr.bob.pk), (tr.bob.pk, tr.alice.pk))
+        )
     except AttackError as exc:
         print(json.dumps({"scheme": scheme, "error": str(exc)}, indent=2))
         return EXIT_SOLVER
@@ -277,112 +269,66 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         parser.error(f"malformed transcript: {exc}")
 
-    agree = recovered[0] == recovered[1]
-    report["recovered_keys_agree"] = agree
-    report["reference_key_present"] = reference is not None
-    if reference is not None:
-        matches = agree and recovered[0] == reference
-    else:
-        matches = agree
-    report["attack_key_matches"] = matches
+    agree = keys[0] == keys[1]
+    has_reference = bool(obj.get("secrets"))
+    matches = agree and (not has_reference or keys[0] == tr.shared_key)
+    report = {
+        "scheme": scheme,
+        "unknowns": unknowns,
+        "equations": equations,
+        "solve_ms": round(solve_ms, 3),
+        "attack_ms": round(attack_ms, 3),
+        "recovered_keys_agree": agree,
+        "reference_key_present": has_reference,
+        "attack_key_matches": matches,
+    }
     print(json.dumps(report, indent=2))
     return EXIT_OK if matches else EXIT_MISMATCH
-
-
-def _bench_digital(n: int, bound: int, rng: Random) -> Tuple[float, float, bool]:
-    params = digital_kex.random_params(n, rng, bound)
-    tr = digital_kex.run_exchange(params, rng)
-    t_total = time.perf_counter()
-    solution = digital_kex.solve(params, tr.alice.pk)
-    solve_ms = (time.perf_counter() - t_total) * 1000.0
-    ok = solution is not None
-    if ok:
-        key = digital_kex.recover_shared_key(
-            params, solution, tr.bob.pk, *digital_kex.generators(n)
-        )
-        ok = key == tr.shared_key and tr.keys_agree
-    attack_ms = (time.perf_counter() - t_total) * 1000.0
-    return solve_ms, attack_ms, ok
-
-
-def _bench_twisted(p: int, fext: int, m: int, rng: Random) -> Tuple[float, float, bool]:
-    params = twisted_kex.random_params(p, fext, m, rng)
-    tr = twisted_kex.run_exchange(params, rng)
-    t_total = time.perf_counter()
-    rows = twisted_kex.system_rows(params)
-    t0 = time.perf_counter()
-    coeffs = twisted_kex.solve(params, rows, tr.alice.pk)
-    solve_ms = (time.perf_counter() - t0) * 1000.0
-    ok = coeffs is not None
-    if ok:
-        key = twisted_kex.replay(params, coeffs, tr.bob.pk)
-        ok = key == tr.shared_key and tr.keys_agree
-    attack_ms = (time.perf_counter() - t_total) * 1000.0
-    return solve_ms, attack_ms, ok
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         parser.error(f"--trials must be in 1..{MAX_TRIALS}")
+    grid = _grid(parser, args, attack=True)
     seed = _pick_seed(args)
 
-    if args.scheme == "digital":
-        axes = (sorted(set(args.n)),)
-    else:
-        axes = (sorted(set(args.p)), sorted(set(args.fext)), sorted(set(args.m)))
-    # counted before the grid is formed: the lists multiply
-    size = math.prod(map(len, axes))
-    if size * args.trials > MAX_TRIALS:
-        parser.error(
-            f"a grid of {size} combos x {args.trials} trials exceeds the cap of "
-            f"{MAX_TRIALS} trials"
-        )
-
-    if args.scheme == "digital":
-        grid = [f"n={n}" for n in axes[0]]
-        for n in axes[0]:
-            _validate_digital(parser, n, args.entry_bound)
-    else:
-        combos = list(itertools.product(*axes))
-        for p, fx, m in combos:
-            _validate_twisted(parser, p, fx, m, attack=True)
-        grid = [f"p={p};fext={fx};m={m}" for p, fx, m in combos]
-
     rows = []
-    all_ok = True
-    for label in grid:
+    summaries = []
+    for label, shape in grid:
+        times = []
         for trial in range(args.trials):
             rng = Random(f"{seed}:{args.scheme}:{label}:{trial}")
-            if args.scheme == "digital":
-                n = int(label.split("=")[1])
-                solve_ms, attack_ms, ok = _bench_digital(n, args.entry_bound, rng)
-            else:
-                parts = dict(kv.split("=") for kv in label.split(";"))
-                solve_ms, attack_ms, ok = _bench_twisted(
-                    int(parts["p"]), int(parts["fext"]), int(parts["m"]), rng
+            params = _random_params(args.scheme, shape, rng, args.entry_bound)
+            tr = SCHEMES[args.scheme].run_exchange(params, rng)
+            t0 = time.perf_counter()
+            try:
+                (key,), _, solve_ms, attack_ms = _attack(
+                    args.scheme, params, ((tr.alice.pk, tr.bob.pk),)
                 )
-            all_ok = all_ok and ok
+                ok = key == tr.shared_key and tr.keys_agree
+            except AttackError:  # stopped at a failed solve: no solve time to report
+                ok, solve_ms, attack_ms = False, math.nan, (time.perf_counter() - t0) * 1000.0
+            times.append(attack_ms)
             rows.append(
-                {
-                    "scheme": args.scheme,
-                    "params": label,
-                    "trial": trial,
-                    "solve_ms": f"{solve_ms:.3f}",
-                    "attack_ms": f"{attack_ms:.3f}",
-                    "success": str(ok).lower(),
-                }
+                (args.scheme, label, trial, f"{solve_ms:.3f}", f"{attack_ms:.3f}", str(ok).lower())
             )
+        times.sort()
+        pos = 0.9 * (len(times) - 1)  # interpolated between the closest ranks
+        p90 = times[int(pos)] + (times[math.ceil(pos)] - times[int(pos)]) * (pos - int(pos))
+        summaries.append(
+            f"{label}: median_ms={statistics.median(times):.3f} "
+            f"p90_ms={p90:.3f} max_ms={times[-1]:.3f}"
+        )
 
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["scheme", "params", "trial", "solve_ms", "attack_ms", "success"],
-        )
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(["scheme", "params", "trial", "solve_ms", "attack_ms", "success"])
         writer.writerows(rows)
+    all_ok = all(row[-1] == "true" for row in rows)
     print(f"seed: {seed}")
     print(f"rows: {len(rows)}")
     print(f"csv: {args.out}")
+    print("\n".join(summaries))
     print(f"all_success: {str(all_ok).lower()}")
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
@@ -398,23 +344,16 @@ def cmd_selftest(parser: argparse.ArgumentParser, args) -> int:
         failures += 0 if ok else 1
 
     rng = Random(seed)
-    params = digital_kex.random_params(4, rng)
-    tr = digital_kex.run_exchange(params, rng)
-    check("digital exchange keys agree", tr.keys_agree)
-    try:
-        key = digital_kex.attack(params, tr.alice.pk, tr.bob.pk)
-        check("digital attack recovers the key", key == tr.shared_key)
-    except AttackError:
-        check("digital attack recovers the key", False)
-
-    tparams = twisted_kex.random_params(2, 2, 3, rng)
-    ttr = twisted_kex.run_exchange(tparams, rng)
-    check("twisted exchange keys agree", ttr.keys_agree)
-    try:
-        tkey = twisted_kex.attack(tparams, ttr.alice.pk, ttr.bob.pk)
-        check("twisted attack recovers the key", tkey == ttr.shared_key)
-    except AttackError:
-        check("twisted attack recovers the key", False)
+    for scheme, shape in (("digital", (4,)), ("twisted", (2, 2, 3))):
+        module = SCHEMES[scheme]
+        params = _random_params(scheme, shape, rng)
+        tr = module.run_exchange(params, rng)
+        check(f"{scheme} exchange keys agree", tr.keys_agree)
+        try:
+            key = module.attack(params, tr.alice.pk, tr.bob.pk)
+            check(f"{scheme} attack recovers the key", key == tr.shared_key)
+        except AttackError:
+            check(f"{scheme} attack recovers the key", False)
 
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 

@@ -26,13 +26,6 @@ INF = math.inf
 MAX_FINITE = 2**64 - 1
 
 
-def is_value(v) -> bool:
-    """True for a well-formed semiring value: a capped natural or INF."""
-    if isinstance(v, float):
-        return v == INF
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= MAX_FINITE
-
-
 # Bounded so long attack campaigns do not grow it without limit.  One digital
 # attack touches about 3 n^2 distinct values, which fits for n <= 32.
 @lru_cache(maxsize=4096)

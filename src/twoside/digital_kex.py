@@ -235,15 +235,6 @@ def _matrix(packed: int, values: list, n: int) -> SemiringMatrix:
     return SemiringMatrix(W, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
 
 
-def generators(n: int) -> Tuple[tuple, tuple]:
-    """The (i, j) pair of each attack column, and the unit circulants.
-
-    These are the pairs and gens that attack_columns returns and
-    recover_shared_key takes.
-    """
-    return tuple((i, j) for i in range(n) for j in range(n)), circulant_generators(W, n)
-
-
 def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     """Flattened products C_i M C_j plus the generators used to build them.
 
@@ -251,9 +242,12 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     0 * x = 0 and 0 + x = x, so each entry of C_i M C_j is a single entry of
     M, namely (C_i M C_j)[r][c] = M[(r - i) mod n][(c + j) mod n].  The
     columns are built by that index shift, with no semiring arithmetic, and
-    equal flatten_two_sided(params.matrix, gens, gens)[0].
+    equal flatten_two_sided(params.matrix, gens, gens)[0].  pairs holds the
+    (i, j) of each column; the attack itself reads neither pairs nor gens.
     """
-    return (_shifted_columns(params.matrix.rows),) + generators(params.n)
+    n = params.n
+    pairs = tuple((i, j) for i in range(n) for j in range(n))
+    return _shifted_columns(params.matrix.rows), pairs, circulant_generators(W, n)
 
 
 def _chain(*groups) -> Tuple[list, dict]:
@@ -332,22 +326,16 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
     return tuple(values[z] for z in zs)
 
 
-def recover_shared_key(
-    params: DigitalParams,
-    solution: tuple,
-    other_pk: SemiringMatrix,
-    pairs: tuple,
-    gens: tuple,
+def replay(
+    params: DigitalParams, solution: tuple, other_pk: SemiringMatrix
 ) -> SemiringMatrix:
     """Replay a solved combination against the other party's public matrix.
 
-    Returns the sum of z_k * C_i other_pk C_j with (i, j) = pairs[k].  By the
-    permutation identity of attack_columns (INF * x = x, 0 * x = 0,
-    0 + x = x), each product is an index-shifted copy of other_pk, so no
-    matrix product is formed; the sum runs on packed ranks.  `pairs` and
-    `gens` must be the ones attack_columns returned: the shifted copies are
-    taken in the same row-major (i, j) order, and neither is read otherwise.
-    Raises ValueError when other_pk is not n x n.
+    Returns the sum of z_k * C_i other_pk C_j with (i, j) the k-th pair of
+    attack_columns, row-major.  By the permutation identity of
+    attack_columns (INF * x = x, 0 * x = 0, 0 + x = x), each product is an
+    index-shifted copy of other_pk, so no matrix product is formed; the sum
+    runs on packed ranks.  Raises ValueError when other_pk is not n x n.
     """
     n = params.n
     _require_size(n, other_pk.n, "matrix")
@@ -355,6 +343,20 @@ def recover_shared_key(
     values, rank = _chain(solution, other)
     copies = _shifted_copies(_pack([rank[v] for v in other]), n)
     return _matrix(_max_min([rank[z] for z in solution], copies, n), values, n)
+
+
+def recover_shared_key(
+    params: DigitalParams,
+    solution: tuple,
+    other_pk: SemiringMatrix,
+    pairs: tuple,
+    gens: tuple,
+) -> SemiringMatrix:
+    """replay, in the paper's shape: pairs and gens as attack_columns returns them.
+
+    The columns follow pairs in row-major (i, j) order, so neither is read.
+    """
+    return replay(params, solution, other_pk)
 
 
 def _require_size(n: int, size: int, what: str) -> None:
@@ -375,7 +377,7 @@ def attack(
         raise AttackError(
             "public matrix is outside the span of the two-sided products"
         )
-    return recover_shared_key(params, solution, other_pk, *generators(params.n))
+    return replay(params, solution, other_pk)
 
 
 # -- serialization ------------------------------------------------------------

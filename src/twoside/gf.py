@@ -59,16 +59,6 @@ def _trim(c: Sequence[int]) -> Tuple[int, ...]:
     return tuple(c[:k])
 
 
-def _padd(a, b, p) -> Tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _trim(out)
-
-
 def _psub(a, b, p) -> Tuple[int, ...]:
     n = max(len(a), len(b))
     out = [0] * n

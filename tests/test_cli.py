@@ -100,6 +100,21 @@ def test_exchange_rejects_huge_prime_promptly(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "2,3"],
+        ["--scheme", "twisted", "--p", "2,3", "--fext", "2", "--m", "3"],
+    ],
+)
+def test_exchange_rejects_more_than_one_combo(tmp_path, flags):
+    res = run_cli("exchange", *flags, "--seed", "1", "--out", "t.json", cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "exchange takes a single value of each size option" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_exchange_seed_echoed_without_flag(tmp_path):
     res = run_cli("exchange", "--n", "2", "--out", "t.json", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
@@ -217,6 +232,29 @@ def test_attack_dump_system_format(tmp_path):
     assert all(len(col) == len(system["target"]) == 4 for col in system["columns"])
 
 
+def test_digital_attack_and_bench_never_build_generators(tmp_path, monkeypatch, capsys):
+    # the unit circulants are only part of attack_columns' paper-shaped output
+    monkeypatch.syspath_prepend(str(SRC))
+    from random import Random
+
+    from twoside import cli, digital_kex
+
+    out = tmp_path / "t.json"
+    assert cli.main(["exchange", "--n", "4", "--seed", "2", "--insecure-dump", "--out", str(out)]) == 0
+    params = digital_kex.random_params(4, Random(2))
+    tr = digital_kex.run_exchange(params, Random(3))
+
+    def boom(*args):
+        raise AssertionError("circulant_generators called")
+
+    monkeypatch.setattr(digital_kex, "circulant_generators", boom)
+    assert digital_kex.attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
+    assert cli.main(["attack", str(out)]) == 0
+    bench = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--n", "3", "--trials", "2", "--seed", "1", "--out", str(bench)]) == 0
+    assert "all_success: true" in capsys.readouterr().out
+
+
 def test_attack_unreadable_file(tmp_path):
     res = run_cli("attack", "no-such-file.json", cwd=tmp_path)
     assert res.returncode == 2, res.stderr
@@ -229,7 +267,8 @@ def test_attack_malformed_transcript(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
-@pytest.mark.parametrize("text", ["[]", '"x"', "42"])
+# the last two carry an unhashable scheme, which must not reach a dict lookup
+@pytest.mark.parametrize("text", ["[]", '"x"', "42", '{"scheme": []}', '{"scheme": {}}'])
 def test_attack_rejects_non_object_transcript(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -453,6 +492,55 @@ def test_bench_twisted_grid(tmp_path):
     assert len(rows) == 4
     assert all(r["scheme"] == "twisted" for r in rows)
     assert all(r["success"] == "true" for r in rows)
+
+
+def summary_lines(stdout):
+    return [l for l in stdout.splitlines() if "median_ms=" in l]
+
+
+@pytest.mark.parametrize(
+    "flags, labels",
+    [
+        (["--n", "4,2,3"], ["n=2", "n=3", "n=4"]),
+        (
+            ["--scheme", "twisted", "--p", "3,2", "--fext", "1", "--m", "4,3"],
+            ["p=2;fext=1;m=3", "p=2;fext=1;m=4", "p=3;fext=1;m=3", "p=3;fext=1;m=4"],
+        ),
+    ],
+)
+def test_bench_prints_one_summary_per_grid_point(tmp_path, flags, labels):
+    out = tmp_path / "bench.csv"
+    res = run_cli(
+        "bench", *flags, "--trials", "4", "--seed", "5", "--out", str(out), cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = summary_lines(res.stdout)
+    assert [l.split(": ")[0] for l in lines] == labels
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for label, line in zip(labels, lines):
+        stats = dict(kv.split("=") for kv in line.split(": ")[1].split())
+        assert list(stats) == ["median_ms", "p90_ms", "max_ms"]
+        median, p90, top = (float(stats[k]) for k in stats)
+        assert 0 <= median <= p90 <= top
+        times = [float(r["attack_ms"]) for r in rows if r["params"] == label]
+        assert top == pytest.approx(max(times), abs=1e-3)
+
+
+def test_bench_failed_solve_is_a_failed_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, digital_kex
+
+    monkeypatch.setattr(digital_kex, "solve", lambda params, target: None)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--n", "2", "--trials", "2", "--seed", "1", "--out", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert "all_success: false" in stdout
+    assert len(summary_lines(stdout)) == 1
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["success"], r["solve_ms"]) for r in rows] == [("false", "nan")] * 2
+    assert all(float(r["attack_ms"]) >= 0 for r in rows)
 
 
 def test_bench_rejects_twisted_combo_over_system_cap(tmp_path):
