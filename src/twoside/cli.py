@@ -26,7 +26,7 @@ from random import Random, SystemRandom
 from typing import List, Tuple
 
 from . import digital_kex, twisted_kex
-from .digital import value_to_json
+from .digital import MAX_FINITE, value_to_json
 from .errors import AttackError, SizeCapError
 from .gf import MAX_DEGREE, MAX_ORDER, MAX_PRIME, is_prime
 from .twisted_ring import MAX_M
@@ -135,8 +135,8 @@ def _validate_twisted(
 def _validate_digital(parser: argparse.ArgumentParser, n: int, bound: int) -> None:
     if not 1 <= n <= digital_kex.MAX_N:
         parser.error(f"--n must be in 1..{digital_kex.MAX_N}")
-    if bound < 1:
-        parser.error("--entry-bound must be positive")
+    if not 1 <= bound <= MAX_FINITE:
+        parser.error(f"--entry-bound must be in 1..{MAX_FINITE}")
 
 
 def _grid(parser: argparse.ArgumentParser, args, attack: bool = False) -> List[Tuple[str, tuple]]:
@@ -176,6 +176,15 @@ def _random_params(
     return twisted_kex.random_params(*shape, rng)
 
 
+def _write_output(parser: argparse.ArgumentParser, option: str, path: str, write) -> None:
+    """Call write(fh) on path opened for writing; an OSError exits 2 naming option."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        parser.error(f"cannot write {option}: {exc}")
+
+
 def cmd_exchange(parser: argparse.ArgumentParser, args) -> int:
     grid = _grid(parser, args)
     if len(grid) != 1:
@@ -187,9 +196,7 @@ def cmd_exchange(parser: argparse.ArgumentParser, args) -> int:
     tr = module.run_exchange(_random_params(args.scheme, shape, rng, args.entry_bound), rng)
     obj = module.transcript_to_json(tr, include_secrets=args.insecure_dump)
     obj["seed"] = seed
-    with open(args.out, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _write_output(parser, "--out", args.out, lambda fh: fh.write(json.dumps(obj, indent=2) + "\n"))
     print(f"scheme: {args.scheme} {label.replace(';', ' ')}")
     print(f"seed: {seed}")
     print(f"transcript: {args.out}")
@@ -197,8 +204,8 @@ def cmd_exchange(parser: argparse.ArgumentParser, args) -> int:
     return EXIT_OK if tr.keys_agree else EXIT_MISMATCH
 
 
-def _dump_system(scheme: str, params, target, path: str) -> None:
-    """Write the paper's attack system for target as JSON {columns, target}."""
+def _system_json(scheme: str, params, target) -> dict:
+    """The paper's attack system for target as JSON {columns, target}."""
     if scheme == "digital":
         columns = [
             [value_to_json(v) for v in col] for col in digital_kex.attack_columns(params)[0]
@@ -208,8 +215,7 @@ def _dump_system(scheme: str, params, target, path: str) -> None:
         # the paper's system, not the n times narrower one that _attack solves
         rows, target = twisted_kex.attack_system(params, target)[:2]
         columns = [list(col) for col in zip(*rows)]
-    with open(path, "w") as fh:
-        json.dump({"columns": columns, "target": list(target)}, fh)
+    return {"columns": columns, "target": list(target)}
 
 
 def _attack(scheme: str, params, directions) -> Tuple[list, Tuple[int, int], float, float]:
@@ -257,7 +263,8 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
     try:
         tr = SCHEMES[scheme].transcript_from_json(obj)
         if args.dump_system:
-            _dump_system(scheme, tr.params, tr.alice.pk, args.dump_system)
+            system = _system_json(scheme, tr.params, tr.alice.pk)
+            _write_output(parser, "--dump-system", args.dump_system, partial(json.dump, system))
         keys, (unknowns, equations), solve_ms, attack_ms = _attack(
             scheme, tr.params, ((tr.alice.pk, tr.bob.pk), (tr.bob.pk, tr.alice.pk))
         )
@@ -270,7 +277,7 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"malformed transcript: {exc}")
 
     agree = keys[0] == keys[1]
-    has_reference = bool(obj.get("secrets"))
+    has_reference = tr.shared_key is not None
     matches = agree and (not has_reference or keys[0] == tr.shared_key)
     report = {
         "scheme": scheme,
@@ -290,6 +297,8 @@ def cmd_bench(parser: argparse.ArgumentParser, args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         parser.error(f"--trials must be in 1..{MAX_TRIALS}")
     grid = _grid(parser, args, attack=True)
+    # an unwritable --out fails here, not after every trial has run
+    _write_output(parser, "--out", args.out, lambda fh: None)
     seed = _pick_seed(args)
 
     rows = []
@@ -320,10 +329,8 @@ def cmd_bench(parser: argparse.ArgumentParser, args) -> int:
             f"p90_ms={p90:.3f} max_ms={times[-1]:.3f}"
         )
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "params", "trial", "solve_ms", "attack_ms", "success"])
-        writer.writerows(rows)
+    header = ("scheme", "params", "trial", "solve_ms", "attack_ms", "success")
+    _write_output(parser, "--out", args.out, lambda fh: csv.writer(fh).writerows([header, *rows]))
     all_ok = all(row[-1] == "true" for row in rows)
     print(f"seed: {seed}")
     print(f"rows: {len(rows)}")

@@ -29,7 +29,9 @@ from .digital import (
     value_from_json,
     value_to_json,
 )
+from . import exchange
 from .errors import AttackError
+from .exchange import Codec, KeyPair, Transcript
 from .matrices import (
     Circulant,
     SemiringMatrix,
@@ -38,7 +40,6 @@ from .matrices import (
     circulant_to_json,
     matrix_from_json,
     matrix_to_json,
-    zeros,
 )
 
 DEFAULT_ENTRY_BOUND = 10**9
@@ -64,22 +65,6 @@ class DigitalParams:
             raise ValueError("matrix must live over the digit-sum semiring")
         if not 1 <= self.entry_bound <= MAX_FINITE:
             raise ValueError("entry bound out of range")
-
-
-@dataclass(frozen=True)
-class DigitalKeyPair:
-    left: Circulant
-    right: Circulant
-    pk: SemiringMatrix
-
-
-@dataclass(frozen=True)
-class ExchangeTranscript:
-    params: DigitalParams
-    alice: DigitalKeyPair
-    bob: DigitalKeyPair
-    shared_key: SemiringMatrix
-    keys_agree: bool
 
 
 def sample_value(bound: int, rng: Random, inf_prob: float = 0.0):
@@ -110,27 +95,23 @@ def random_params(
 
 def keypair_from_circulants(
     params: DigitalParams, left: Circulant, right: Circulant
-) -> DigitalKeyPair:
-    return DigitalKeyPair(left, right, _sandwich(left, params.matrix, right))
+) -> KeyPair:
+    return KeyPair(left, right, _sandwich(left, params.matrix, right))
 
 
-def keygen(params: DigitalParams, rng: Random) -> DigitalKeyPair:
+def keygen(params: DigitalParams, rng: Random) -> KeyPair:
     left = sample_circulant(params.n, params.entry_bound, rng)
     right = sample_circulant(params.n, params.entry_bound, rng)
     return keypair_from_circulants(params, left, right)
 
 
-def shared_key(own: DigitalKeyPair, other_pk: SemiringMatrix) -> SemiringMatrix:
+def shared_key(own: KeyPair, other_pk: SemiringMatrix) -> SemiringMatrix:
     """Wrap the peer's public matrix in our own circulants."""
     return _sandwich(own.left, other_pk, own.right)
 
 
-def run_exchange(params: DigitalParams, rng: Random) -> ExchangeTranscript:
-    alice = keygen(params, rng)
-    bob = keygen(params, rng)
-    k_a = shared_key(alice, bob.pk)
-    k_b = shared_key(bob, alice.pk)
-    return ExchangeTranscript(params, alice, bob, k_a, k_a == k_b)
+def run_exchange(params: DigitalParams, rng: Random) -> Transcript:
+    return exchange.run_exchange(params, rng, keygen, shared_key)
 
 
 # -- key recovery from public data only --------------------------------------
@@ -193,23 +174,10 @@ def _rows_left(x: int, n: int) -> list:
     return out
 
 
-def _shifted_columns(rows) -> tuple:
-    """Flattened copies of rows with entry (r, c) taken from rows[r - i][c + j].
-
-    One copy per (i, j), row-major in (i, j), indices mod n.  The copy for
-    (i, j) is the one for (0, j) rotated right by i rows.
-    """
-    n = len(rows)
-    # bases[j] is every row rotated left by j, concatenated
-    bases = [tuple(v for row in rows for v in row[j:] + row[:j]) for j in range(n)]
-    cuts = [(n - i) * n for i in range(n)]
-    return tuple(base[s:] + base[:s] for s in cuts for base in bases)
-
-
 def _shifted_copies(x: int, n: int) -> list:
     """Packed copies of x with entry (r, c) taken from x[r - i][c + j].
 
-    The packed form of _shifted_columns, in the same row-major (i, j) order.
+    One copy per (i, j), row-major in (i, j), indices mod n.
     """
     by_j = [_rows_down(base, n) for base in _rows_left(x, n)]
     return [down[i] for i in range(n) for down in by_j]
@@ -241,13 +209,20 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     Over W the unit circulants are permutation matrices: INF * x = x,
     0 * x = 0 and 0 + x = x, so each entry of C_i M C_j is a single entry of
     M, namely (C_i M C_j)[r][c] = M[(r - i) mod n][(c + j) mod n].  The
-    columns are built by that index shift, with no semiring arithmetic, and
-    equal flatten_two_sided(params.matrix, gens, gens)[0].  pairs holds the
-    (i, j) of each column; the attack itself reads neither pairs nor gens.
+    columns are built by that index shift on packed entry positions, with no
+    semiring arithmetic, and equal flatten_two_sided(params.matrix, gens,
+    gens)[0].  pairs holds the (i, j) of each column; the attack itself
+    reads neither pairs nor gens.
     """
     n = params.n
+    flat = params.matrix.flat()
+    # shifted copies of the entry positions 0 .. n^2 - 1, read back from M
+    columns = tuple(
+        tuple([flat[k] for k in _unpack(copy, n * n)])
+        for copy in _shifted_copies(_pack(range(n * n)), n)
+    )
     pairs = tuple((i, j) for i in range(n) for j in range(n))
-    return _shifted_columns(params.matrix.rows), pairs, circulant_generators(W, n)
+    return columns, pairs, circulant_generators(W, n)
 
 
 def _chain(*groups) -> Tuple[list, dict]:
@@ -401,54 +376,29 @@ def params_from_json(obj: dict) -> DigitalParams:
     return DigitalParams(n, matrix, bound)
 
 
-def transcript_to_json(tr: ExchangeTranscript, include_secrets: bool = False) -> dict:
-    obj = {
-        "scheme": "digital",
-        "params": params_to_json(tr.params),
-        "alice_public": matrix_to_json(tr.alice.pk, value_to_json),
-        "bob_public": matrix_to_json(tr.bob.pk, value_to_json),
-        "keys_agree": tr.keys_agree,
-    }
-    if include_secrets:
-        obj["secrets"] = {
-            "alice_left": circulant_to_json(tr.alice.left, value_to_json),
-            "alice_right": circulant_to_json(tr.alice.right, value_to_json),
-            "bob_left": circulant_to_json(tr.bob.left, value_to_json),
-            "bob_right": circulant_to_json(tr.bob.right, value_to_json),
-            "shared_key": matrix_to_json(tr.shared_key, value_to_json),
-        }
-    return obj
+def _matrix_from_json(params: DigitalParams, obj: dict) -> SemiringMatrix:
+    mat = matrix_from_json(obj, W, value_from_json)
+    _require_size(params.n, mat.n, "matrix")
+    return mat
 
 
-def transcript_from_json(obj: dict) -> ExchangeTranscript:
-    """Parse a transcript; every matrix and circulant in it must be n x n."""
-    params = params_from_json(obj["params"])
-    n = params.n
+def _circulant_from_json(params: DigitalParams, obj: dict) -> Circulant:
+    circ = circulant_from_json(obj, W, value_from_json)
+    _require_size(params.n, circ.n, "circulant")
+    return circ
 
-    def matrix(item) -> SemiringMatrix:
-        mat = matrix_from_json(item, W, value_from_json)
-        _require_size(n, mat.n, "matrix")
-        return mat
 
-    def circulant(item) -> Circulant:
-        circ = circulant_from_json(item, W, value_from_json)
-        _require_size(n, circ.n, "circulant")
-        return circ
+# every matrix and circulant in a transcript must be n x n
+CODEC = Codec(
+    "digital", params_to_json, params_from_json,
+    lambda mat: matrix_to_json(mat, value_to_json), _matrix_from_json,
+    lambda circ: circulant_to_json(circ, value_to_json), _circulant_from_json,
+)
 
-    alice_pk = matrix(obj["alice_public"])
-    bob_pk = matrix(obj["bob_public"])
-    secrets = obj.get("secrets")
-    placeholder = Circulant(W, (W.zero,) * n)
-    if secrets:
-        alice = DigitalKeyPair(
-            circulant(secrets["alice_left"]), circulant(secrets["alice_right"]), alice_pk
-        )
-        bob = DigitalKeyPair(
-            circulant(secrets["bob_left"]), circulant(secrets["bob_right"]), bob_pk
-        )
-        key = matrix(secrets["shared_key"])
-    else:
-        alice = DigitalKeyPair(placeholder, placeholder, alice_pk)
-        bob = DigitalKeyPair(placeholder, placeholder, bob_pk)
-        key = zeros(W, params.n)
-    return ExchangeTranscript(params, alice, bob, key, bool(obj["keys_agree"]))
+
+def transcript_to_json(tr: Transcript, include_secrets: bool = False) -> dict:
+    return exchange.transcript_to_json(tr, include_secrets, CODEC)
+
+
+def transcript_from_json(obj: dict) -> Transcript:
+    return exchange.transcript_from_json(obj, CODEC)

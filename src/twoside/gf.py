@@ -331,6 +331,14 @@ def f_pow(ctx: FieldCtx, a, e: int) -> tuple:
     return result
 
 
+def powers(ctx: FieldCtx, a, count: int) -> list:
+    """a^0 .. a^{count-1}."""
+    out = [ctx.one]
+    for _ in range(1, count):
+        out.append(f_mul(ctx, out[-1], a))
+    return out
+
+
 def element_from_index(ctx: FieldCtx, idx: int) -> tuple:
     """The idx-th field element under base-p digit order, 0 <= idx < p^n."""
     if not 0 <= idx < ctx.order:

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Tuple
 
+from . import exchange
 from .errors import AttackError, SizeCapError
-from .gf import f_mul, f_pow, gauss_solve, make_field_ctx
+from .exchange import Codec, KeyPair, Transcript
+from .gf import f_mul, gauss_solve, make_field_ctx, powers
 from .twisted_ring import (
     RingCtx,
     RingElement,
-    SubspaceBasis,
     basis_a2,
     basis_r1,
     element_from_coeffs,
@@ -43,6 +44,7 @@ from .twisted_ring import (
     sample_a2,
     sample_element,
     sample_r1,
+    unflatten,
 )
 
 # cap on unknowns x equations of the attack system: (2, 4, 16) needs 294,912
@@ -60,22 +62,6 @@ class TwistedParams:
     def __post_init__(self):
         if self.h.ctx != self.ctx:
             raise ValueError("public element must live in the stated ring")
-
-
-@dataclass(frozen=True)
-class TwistedKeyPair:
-    left: RingElement
-    right: RingElement
-    pk: RingElement
-
-
-@dataclass(frozen=True)
-class ExchangeTranscript:
-    params: TwistedParams
-    alice: TwistedKeyPair
-    bob: TwistedKeyPair
-    shared_key: RingElement
-    keys_agree: bool
 
 
 def random_params(
@@ -107,23 +93,23 @@ def _secret_terms(left: RingElement, right: RingElement, other: RingElement):
 
 def keypair_from_secrets(
     params: TwistedParams, left: RingElement, right: RingElement
-) -> TwistedKeyPair:
+) -> KeyPair:
     """left * h * right, by index shifts and field scalings.
 
     left must lie in R1 and right in A2 (ValueError otherwise).
     """
     g, k = _secret_terms(left, right, params.h)
     pk = _times_reflections(_times_rotations(g, params.h), k)
-    return TwistedKeyPair(left, right, pk)
+    return KeyPair(left, right, pk)
 
 
-def keygen(params: TwistedParams, rng: Random) -> TwistedKeyPair:
+def keygen(params: TwistedParams, rng: Random) -> KeyPair:
     left = sample_r1(params.ctx, rng)
     right = sample_a2(params.ctx, rng)
     return keypair_from_secrets(params, left, right)
 
 
-def shared_key(own: TwistedKeyPair, other_pk: RingElement) -> RingElement:
+def shared_key(own: KeyPair, other_pk: RingElement) -> RingElement:
     """Wrap the peer's public element in our secrets, adjoint on the right.
 
     own.left * other_pk * own.right.adjoint(), by index shifts and field
@@ -133,12 +119,8 @@ def shared_key(own: TwistedKeyPair, other_pk: RingElement) -> RingElement:
     return _times_reflections(_times_rotations(g, other_pk), k)
 
 
-def run_exchange(params: TwistedParams, rng: Random) -> ExchangeTranscript:
-    alice = keygen(params, rng)
-    bob = keygen(params, rng)
-    k_a = shared_key(alice, bob.pk)
-    k_b = shared_key(bob, alice.pk)
-    return ExchangeTranscript(params, alice, bob, k_a, k_a == k_b)
+def run_exchange(params: TwistedParams, rng: Random) -> Transcript:
+    return exchange.run_exchange(params, rng, keygen, shared_key)
 
 
 # -- products by index shifts --------------------------------------------------
@@ -201,25 +183,29 @@ def _times_reflections(elem: RingElement, terms) -> RingElement:
 # -- key recovery from public data only --------------------------------------
 
 
-def _rotated(elem: RingElement, i: int) -> RingElement:
-    """x^i * elem: both halves rotated, (k, l) -> ((k + i) mod m, l), no twist."""
-    m = elem.ctx.m
-    rot, refl = elem.coeffs[:m], elem.coeffs[m:]
-    return RingElement(elem.ctx, rot[-i:] + rot[:-i] + refl[-i:] + refl[:-i])
+def _columns(params: TwistedParams, count: int) -> list:
+    """flatten(t^s * rot_i(h * S_j)) at index (s * m + i) * w + j, for s < count.
 
-
-def _h_times_orbit_sums(params: TwistedParams) -> list:
-    """h * S_j for j = 0 .. m//2, by index shifts."""
+    x^i * e rotates both halves of e, (k, l) -> ((k + i) mod m, l), with no
+    twist: on the flattened vector each half rotates by i * n entries.  The
+    w = m//2 + 1 elements h * S_j are built once and scaled once per t^s.
+    """
     ctx = params.ctx
-    return [
-        _times_reflections(params.h, [(e, ctx.field.one) for e in orbit(ctx.m, j)])
+    fld = ctx.field
+    half = ctx.m * fld.n
+    h_s = [
+        _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)])
         for j in range(ctx.m // 2 + 1)
     ]
-
-
-def _t_powers(fld, count: int) -> list:
-    """t^0 .. t^{count-1}."""
-    return [f_pow(fld, fld.t, s) for s in range(count)]
+    columns = []
+    for tp in powers(fld, fld.t, count):
+        halves = []
+        for elem in h_s:
+            vec = flatten(elem.scale(tp))
+            halves.append((vec[:half], vec[half:]))
+        for cut in range(half, 0, -fld.n):  # cut = half - i * n for i = 0 .. m-1
+            columns.extend(rot[cut:] + rot[:cut] + refl[cut:] + refl[:cut] for rot, refl in halves)
+    return columns
 
 
 def _fold(terms, fld) -> dict:
@@ -252,7 +238,7 @@ def check_system_size(n: int, m: int) -> None:
         )
 
 
-def basis_products(params: TwistedParams) -> Tuple[SubspaceBasis, SubspaceBasis, list]:
+def basis_products(params: TwistedParams) -> Tuple[tuple, tuple, list]:
     """Products L * h * R for L, R ranging over the secret-space bases.
 
     L = t^a x^i (a outer, i inner) and R = t^b S_j (b outer, j inner), with
@@ -262,28 +248,22 @@ def basis_products(params: TwistedParams) -> Tuple[SubspaceBasis, SubspaceBasis,
     elements h * S_j, and equal products share one object.
     """
     ctx = params.ctx
-    fld = ctx.field
-    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
-    left_basis = basis_r1(ctx)
-    right_basis = basis_a2(ctx)
-    h_s = _h_times_orbit_sums(params)
+    n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
     # t^0 .. t^{2n-2}: the scalars t^a * t^b of a left times a right basis element
-    scaled = [[elem.scale(tp) for elem in h_s] for tp in _t_powers(fld, 2 * n - 1)]
-    # rotated[i][a + b][j] = t^{a+b} * rot_i(h * S_j)
-    rotated = [[[_rotated(e, i) for e in row] for row in scaled] for i in range(m)]
+    elems = [unflatten(ctx, col) for col in _columns(params, 2 * n - 1)]
     products = [
-        rotated[i][a + b][j]
+        elems[((a + b) * m + i) * w + j]
         for a in range(n)
         for i in range(m)
         for b in range(n)
         for j in range(w)
     ]
-    return left_basis, right_basis, products
+    return basis_r1(ctx), basis_a2(ctx), products
 
 
 def attack_system(
     params: TwistedParams, target_pk: RingElement
-) -> Tuple[list, tuple, SubspaceBasis, SubspaceBasis]:
+) -> Tuple[list, tuple, tuple, tuple]:
     """Equations as F_p rows, the right-hand side, and the two bases.
 
     Over the size cap it raises ValueError before building anything.
@@ -299,8 +279,8 @@ def recover_shared_key(
     params: TwistedParams,
     solution,
     other_pk: RingElement,
-    left_basis: SubspaceBasis,
-    right_basis: SubspaceBasis,
+    left_basis: tuple,
+    right_basis: tuple,
 ) -> RingElement:
     """Replay a solved combination against the other party's public element.
 
@@ -312,7 +292,7 @@ def recover_shared_key(
     fld = params.ctx.field
     m, w = params.ctx.m, params.ctx.m // 2 + 1
     width = len(right_basis)
-    t_pows = _t_powers(fld, 2 * fld.n - 1)
+    t_pows = powers(fld, fld.t, 2 * fld.n - 1)
 
     def terms():
         for idx, z in enumerate(solution):
@@ -325,14 +305,6 @@ def recover_shared_key(
     return replay(params, _fold(terms(), fld), other_pk)
 
 
-def _rotated_flat(vec: tuple, shift: int) -> tuple:
-    """flatten(x^i * e) from vec = flatten(e), with shift = i * n."""
-    half = len(vec) // 2
-    rot, refl = vec[:half], vec[half:]
-    cut = half - shift
-    return rot[cut:] + rot[:cut] + refl[cut:] + refl[:cut]
-
-
 def system_rows(params: TwistedParams) -> list:
     """F_p rows of the attack system solved by solve, for any target.
 
@@ -343,19 +315,9 @@ def system_rows(params: TwistedParams) -> list:
     the size cap of the paper's system it raises ValueError before building
     anything, as attack_system does.
     """
-    ctx = params.ctx
-    fld = ctx.field
-    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
-    check_system_size(n, m)
-    h_s = _h_times_orbit_sums(params)
-    scaled = [[flatten(elem.scale(tp)) for elem in h_s] for tp in _t_powers(fld, n)]
-    columns = [
-        _rotated_flat(scaled[a][j], i * n)
-        for a in range(n)
-        for i in range(m)
-        for j in range(w)
-    ]
-    return list(zip(*columns))
+    n = params.ctx.field.n
+    check_system_size(n, params.ctx.m)
+    return list(zip(*_columns(params, n)))
 
 
 def solve(params: TwistedParams, rows: list, target_pk: RingElement):
@@ -372,7 +334,7 @@ def solve(params: TwistedParams, rows: list, target_pk: RingElement):
     if z is None:
         return None
     m, w = params.ctx.m, params.ctx.m // 2 + 1
-    t_pows = _t_powers(fld, fld.n)
+    t_pows = powers(fld, fld.t, fld.n)
 
     def terms():
         for idx, v in enumerate(z):
@@ -410,9 +372,17 @@ def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement)
 # -- serialization ------------------------------------------------------------
 
 
+def _coeffs_to_json(elem: RingElement) -> list:
+    return element_to_json(elem)["coeffs"]
+
+
+def _coeffs_from_json(params: TwistedParams, items) -> RingElement:
+    return element_from_coeffs(params.ctx, items)
+
+
 def params_to_json(params: TwistedParams) -> dict:
     obj = ring_ctx_to_json(params.ctx)
-    obj["h"] = element_to_json(params.h)["coeffs"]
+    obj["h"] = _coeffs_to_json(params.h)
     return obj
 
 
@@ -422,49 +392,16 @@ def params_from_json(obj: dict) -> TwistedParams:
     return TwistedParams(ctx, h)
 
 
-def transcript_to_json(tr: ExchangeTranscript, include_secrets: bool = False) -> dict:
-    def elem(e: RingElement) -> list:
-        return element_to_json(e)["coeffs"]
-
-    obj = {
-        "scheme": "twisted",
-        "params": params_to_json(tr.params),
-        "alice_public": elem(tr.alice.pk),
-        "bob_public": elem(tr.bob.pk),
-        "keys_agree": tr.keys_agree,
-    }
-    if include_secrets:
-        obj["secrets"] = {
-            "alice_left": elem(tr.alice.left),
-            "alice_right": elem(tr.alice.right),
-            "bob_left": elem(tr.bob.left),
-            "bob_right": elem(tr.bob.right),
-            "shared_key": elem(tr.shared_key),
-        }
-    return obj
+CODEC = Codec(
+    "twisted", params_to_json, params_from_json,
+    _coeffs_to_json, _coeffs_from_json,  # public keys and the shared key
+    _coeffs_to_json, _coeffs_from_json,  # secrets
+)
 
 
-def transcript_from_json(obj: dict) -> ExchangeTranscript:
-    params = params_from_json(obj["params"])
-    ctx = params.ctx
-    alice_pk = element_from_coeffs(ctx, obj["alice_public"])
-    bob_pk = element_from_coeffs(ctx, obj["bob_public"])
-    zero = RingElement.zero(ctx)
-    secrets = obj.get("secrets")
-    if secrets:
-        alice = TwistedKeyPair(
-            element_from_coeffs(ctx, secrets["alice_left"]),
-            element_from_coeffs(ctx, secrets["alice_right"]),
-            alice_pk,
-        )
-        bob = TwistedKeyPair(
-            element_from_coeffs(ctx, secrets["bob_left"]),
-            element_from_coeffs(ctx, secrets["bob_right"]),
-            bob_pk,
-        )
-        key = element_from_coeffs(ctx, secrets["shared_key"])
-    else:
-        alice = TwistedKeyPair(zero, zero, alice_pk)
-        bob = TwistedKeyPair(zero, zero, bob_pk)
-        key = zero
-    return ExchangeTranscript(params, alice, bob, key, bool(obj["keys_agree"]))
+def transcript_to_json(tr: Transcript, include_secrets: bool = False) -> dict:
+    return exchange.transcript_to_json(tr, include_secrets, CODEC)
+
+
+def transcript_from_json(obj: dict) -> Transcript:
+    return exchange.transcript_from_json(obj, CODEC)

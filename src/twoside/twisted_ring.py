@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import List, Tuple
+from typing import Tuple
 
 from .gf import (
     FieldCtx,
@@ -35,6 +35,7 @@ from .gf import (
     f_sub,
     field_from_json,
     field_to_json,
+    powers,
 )
 
 MAX_M = 64  # dense coefficient storage; enough for every desk-scale group here
@@ -84,13 +85,8 @@ def make_ring_ctx(fld: FieldCtx, m: int) -> RingCtx:
     units = fld.order - 1
     d = math.gcd(m, units)
     tau = f_pow(fld, fld.t, units // d)
-    pows = [fld.one]
-    for _ in range(1, m):
-        pows.append(f_mul(fld, pows[-1], tau))
-    tau_inv = f_inv(fld, tau)
-    inv_pows = [fld.one]
-    for _ in range(1, m):
-        inv_pows.append(f_mul(fld, inv_pows[-1], tau_inv))
+    pows = powers(fld, tau, m)
+    inv_pows = powers(fld, f_inv(fld, tau), m)
     return RingCtx(fld, m, tau, tuple(pows), tuple(inv_pows))
 
 
@@ -142,9 +138,6 @@ class RingElement:
 
     def coeff(self, i: int, k: int) -> tuple:
         return self.coeffs[i % self.ctx.m + self.ctx.m * k]
-
-    def is_zero(self) -> bool:
-        return not any(any(c) for c in self.coeffs)
 
     def _require_same(self, other: "RingElement") -> None:
         if self.ctx != other.ctx:
@@ -240,101 +233,75 @@ class RingElement:
         return "RingElement(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    label: str
-    elements: tuple
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __getitem__(self, idx):
-        return self.elements[idx]
-
-
-def _t_powers(ctx: RingCtx) -> List[tuple]:
-    fld = ctx.field
-    out = [fld.one]
-    for _ in range(1, fld.n):
-        out.append(f_mul(fld, out[-1], fld.t))
-    return out
-
-
-def basis_r1(ctx: RingCtx) -> SubspaceBasis:
-    """F_p-basis t^i x^j of the commuting rotation subring."""
-    elems = []
-    for tp in _t_powers(ctx):
-        for j in range(ctx.m):
-            elems.append(RingElement.single(ctx, j, 0, tp))
-    return SubspaceBasis("rotation subring", tuple(elems))
-
-
-def _symmetric_basis(ctx: RingCtx, k: int) -> Tuple[RingElement, ...]:
-    """t^i copies of the symmetric combinations x^j + x^{m-j} (times y^k)."""
-    m = ctx.m
-    elems = []
-    for tp in _t_powers(ctx):
-        orbit = [RingElement.single(ctx, 0, k, tp)]
-        for j in range(1, (m + 1) // 2):
-            orbit.append(
-                RingElement.single(ctx, j, k, tp)
-                + RingElement.single(ctx, m - j, k, tp)
-            )
-        if m % 2 == 0:
-            orbit.append(RingElement.single(ctx, m // 2, k, tp))
-        elems.extend(orbit)
-    return tuple(elems)
-
-
-def basis_a1(ctx: RingCtx) -> SubspaceBasis:
-    """Symmetric subspace of the rotation half."""
-    return SubspaceBasis("symmetric rotations", _symmetric_basis(ctx, 0))
-
-
-def basis_a2(ctx: RingCtx) -> SubspaceBasis:
-    """Symmetric subspace of the reflection half; the right-factor key space."""
-    return SubspaceBasis("symmetric reflections", _symmetric_basis(ctx, 1))
-
-
 def orbit(m: int, j: int) -> set:
     """Rotation exponents of the j-th symmetric orbit: {j, m - j} mod m."""
     return {j, (m - j) % m}
 
 
-def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbits: list) -> RingElement:
-    """sum over a < n and the orbits of c * t^a * (sum of x^e y^k, e in orbit).
-
-    One rng.randrange(p) per (a, orbit), a outer: the order of the basis
-    elements in basis_r1 and _symmetric_basis, so each orbit's F_{p^n}
-    coefficient sum_a c_a t^a is accumulated on ints without the basis.
-    """
-    fld = ctx.field
-    p = fld.p
-    sums = [[0] * fld.n for _ in orbits]
-    for tp in _t_powers(ctx):
-        for acc in sums:
-            c = rng.randrange(p)
-            if c:
-                for r, v in enumerate(tp):
-                    acc[r] += c * v
-    coeffs = [fld.zero] * ctx.group_size
-    for exps, acc in zip(orbits, sums):
-        c = tuple(v % p for v in acc)
-        for e in exps:
-            coeffs[e + ctx.m * k] = c
-    return RingElement(ctx, tuple(coeffs))
+def _rotation_orbits(m: int) -> list:
+    return [(j,) for j in range(m)]
 
 
 def _symmetric_orbits(m: int) -> list:
     return [orbit(m, j) for j in range(m // 2 + 1)]
 
 
+def _on_orbits(ctx: RingCtx, k: int, orbits: list, values) -> RingElement:
+    """The element with coefficient values[o] at x^e y^k for each e in orbits[o]."""
+    coeffs = [ctx.field.zero] * ctx.group_size
+    for exps, c in zip(orbits, values):
+        for e in exps:
+            coeffs[e + ctx.m * k] = c
+    return RingElement(ctx, tuple(coeffs))
+
+
+def _orbit_basis(ctx: RingCtx, k: int, orbits: list) -> Tuple[RingElement, ...]:
+    """t^a * (sum of x^e y^k, e in orbit) for a < n (outer) and each orbit."""
+    fld = ctx.field
+    return tuple(
+        _on_orbits(ctx, k, [exps], [tp])
+        for tp in powers(fld, fld.t, fld.n)
+        for exps in orbits
+    )
+
+
+def basis_r1(ctx: RingCtx) -> Tuple[RingElement, ...]:
+    """F_p-basis t^a x^j of the commuting rotation subring."""
+    return _orbit_basis(ctx, 0, _rotation_orbits(ctx.m))
+
+
+def basis_a1(ctx: RingCtx) -> Tuple[RingElement, ...]:
+    """Symmetric subspace of the rotation half: t^a (x^j + x^{m-j})."""
+    return _orbit_basis(ctx, 0, _symmetric_orbits(ctx.m))
+
+
+def basis_a2(ctx: RingCtx) -> Tuple[RingElement, ...]:
+    """Symmetric subspace of the reflection half; the right-factor key space."""
+    return _orbit_basis(ctx, 1, _symmetric_orbits(ctx.m))
+
+
+def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbits: list) -> RingElement:
+    """sum over a < n and the orbits of c * t^a * (sum of x^e y^k, e in orbit).
+
+    One rng.randrange(p) per (a, orbit), a outer: the order of the basis
+    elements in _orbit_basis, so each orbit's F_{p^n} coefficient
+    sum_a c_a t^a is accumulated on ints without the basis.
+    """
+    fld = ctx.field
+    p = fld.p
+    sums = [[0] * fld.n for _ in orbits]
+    for tp in powers(fld, fld.t, fld.n):
+        for acc in sums:
+            c = rng.randrange(p)
+            if c:
+                for r, v in enumerate(tp):
+                    acc[r] += c * v
+    return _on_orbits(ctx, k, orbits, [tuple(v % p for v in acc) for acc in sums])
+
+
 def sample_r1(ctx: RingCtx, rng: Random) -> RingElement:
     """Uniform element of the rotation subring, drawn as over basis_r1."""
-    return _sample_orbits(ctx, rng, 0, [(j,) for j in range(ctx.m)])
+    return _sample_orbits(ctx, rng, 0, _rotation_orbits(ctx.m))
 
 
 def sample_a1(ctx: RingCtx, rng: Random) -> RingElement:

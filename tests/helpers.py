@@ -196,7 +196,7 @@ def sample_span(basis, ctx: RingCtx, rng: Random) -> RingElement:
     The samplers as first written: build the basis, add scaled copies.
     """
     acc = RingElement.zero(ctx)
-    for elem in basis.elements:
+    for elem in basis:
         c = rng.randrange(ctx.field.p)
         if c:
             acc = acc + elem.scale(c)

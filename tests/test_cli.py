@@ -627,3 +627,93 @@ def test_selftest_failure_exits_3(monkeypatch, capsys):
 def test_usage_error_on_unknown_command(tmp_path):
     res = run_cli("frobnicate", cwd=tmp_path)
     assert res.returncode == 2, res.stderr
+
+
+# -- public-only transcripts, output paths and the entry-bound cap ----------------
+
+
+@pytest.mark.parametrize(
+    "flags", [["--n", "3"], ["--scheme", "twisted", "--p", "3", "--fext", "2", "--m", "4"]]
+)
+@pytest.mark.parametrize("secrets", ["absent", "empty"])
+def test_attack_on_public_only_transcript_has_no_reference_key(tmp_path, flags, secrets):
+    out = tmp_path / "t.json"
+    res = run_cli("exchange", *flags, "--seed", "4", "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    if secrets == "empty":
+        obj = read_json(out)
+        obj["secrets"] = {}
+        out.write_text(json.dumps(obj))
+    res = run_cli("attack", str(out), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["reference_key_present"] is False
+    assert report["recovered_keys_agree"] is True
+    assert report["attack_key_matches"] is True
+
+
+def assert_unwritable(res, option):
+    assert res.returncode == 2, res.stderr
+    assert f"cannot write {option}:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("target", ["missing/t.json", "."])
+@pytest.mark.parametrize("scheme", ["digital", "twisted"])
+def test_exchange_unwritable_out_exits_2(tmp_path, scheme, target):
+    res = run_cli("exchange", "--scheme", scheme, "--seed", "1", "--out", target, cwd=tmp_path)
+    assert_unwritable(res, "--out")
+
+
+@pytest.mark.parametrize("target", ["missing/system.json", "."])
+@pytest.mark.parametrize(
+    "flags", [["--n", "2"], ["--scheme", "twisted", "--p", "2", "--fext", "2", "--m", "3"]]
+)
+def test_attack_unwritable_dump_system_exits_2(tmp_path, flags, target):
+    res = run_cli("exchange", *flags, "--seed", "1", "--out", "t.json", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("attack", "t.json", "--dump-system", target, cwd=tmp_path)
+    assert_unwritable(res, "--dump-system")
+
+
+@pytest.mark.parametrize("target", ["missing/b.csv", "."])
+@pytest.mark.parametrize("scheme", ["digital", "twisted"])
+def test_bench_unwritable_out_exits_2(tmp_path, scheme, target):
+    res = run_cli(
+        "bench", "--scheme", scheme, "--trials", "1", "--seed", "1", "--out", target, cwd=tmp_path
+    )
+    assert_unwritable(res, "--out")
+
+
+def test_bench_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, digital_kex
+
+    def trial(*args):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(digital_kex, "run_exchange", trial)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--n", "2", "--trials", "3", "--out", str(tmp_path / "no" / "b.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["exchange"], ["bench", "--trials", "1"]], ids=["exchange", "bench"]
+)
+def test_entry_bound_above_the_largest_finite_value_exits_2(tmp_path, command):
+    res = run_cli(*command, "--n", "2", "--entry-bound", "100000000000000000000000", cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "--entry-bound must be in 1..18446744073709551615" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_entry_bound_at_the_largest_finite_value_is_accepted(tmp_path):
+    res = run_cli(
+        "exchange", "--n", "2", "--seed", "1", "--entry-bound", "18446744073709551615",
+        "--out", "t.json", cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert read_json(tmp_path / "t.json")["params"]["entry_bound"] == 2**64 - 1

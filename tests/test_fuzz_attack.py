@@ -2,7 +2,8 @@
 
 Random JSON documents and mutated honest transcripts of both schemes
 (truncated lists, type-swapped fields, huge ints, nested junk, deleted keys)
-are written to a file and attacked in-process.  The attack must return, or
+are written to a file and attacked in-process, some with a --dump-system
+path that cannot be written.  The attack must return, or
 exit through argparse, with 0, 2, 3 or 4; any other exception fails.
 """
 
@@ -111,16 +112,24 @@ def mutated_transcripts(draw):
     return obj
 
 
-def attack_exit_code(text: str) -> int:
+# --dump-system targets, relative to the transcript's directory: a new file,
+# the directory itself and a file in a missing directory (both unwritable)
+DUMP_TARGETS = ("system.json", ".", os.path.join("missing", "system.json"))
+
+
+def attack_exit_code(text: str, dump=None) -> int:
     """Exit code of `twoside attack` on a file holding text, run in-process."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.json")
         with open(path, "w") as fh:
             fh.write(text)
+        argv = ["attack", path]
+        if dump is not None:
+            argv += ["--dump-system", os.path.join(tmp, dump)]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             try:
-                return cli.main(["attack", path])
+                return cli.main(argv)
             except SystemExit as exc:
                 return exc.code
 
@@ -147,3 +156,14 @@ def test_attack_on_random_json_exits_with_documented_code(obj):
 
 def test_honest_transcripts_attack_with_exit_0():
     assert [attack_exit_code(json.dumps(obj)) for obj in HONEST] == [0] * len(HONEST)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_transcripts(), st.sampled_from(DUMP_TARGETS))
+def test_attack_with_dump_system_exits_with_documented_code(obj, dump):
+    assert attack_exit_code(json.dumps(obj), dump) in EXIT_CODES
+
+
+def test_honest_transcripts_with_unwritable_dump_system_exit_2():
+    for dump in DUMP_TARGETS[1:]:
+        assert [attack_exit_code(json.dumps(obj), dump) for obj in HONEST] == [2] * len(HONEST)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from twoside import twisted_kex, twisted_ring
 from twoside.errors import AttackError
+from twoside.exchange import KeyPair
 from twoside.gf import gauss_solve, gauss_solve_full
 from twoside.twisted_kex import (
     MAX_SYSTEM_CELLS,
-    TwistedKeyPair,
     TwistedParams,
     attack,
     attack_system,
@@ -329,9 +329,9 @@ def test_exchange_rejects_secrets_outside_their_key_spaces():
         keypair_from_secrets(params, rotation, rotation + reflection)
     pair = keypair_from_secrets(params, rotation, reflection)
     with pytest.raises(ValueError, match="R1"):
-        shared_key(TwistedKeyPair(reflection, reflection, pair.pk), params.h)
+        shared_key(KeyPair(reflection, reflection, pair.pk), params.h)
     with pytest.raises(ValueError, match="A2"):
-        shared_key(TwistedKeyPair(rotation, rotation, pair.pk), params.h)
+        shared_key(KeyPair(rotation, rotation, pair.pk), params.h)
     other_ctx = make_ring_ctx(make_test_field(3, 2), 5)
     with pytest.raises(ValueError, match="ring context mismatch"):
         shared_key(pair, RingElement.one(other_ctx))
