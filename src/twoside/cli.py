@@ -231,9 +231,9 @@ def _attack(scheme: str, params, directions) -> Tuple[list, Tuple[int, int], flo
         shape = (params.n * params.n,) * 2
     else:
         # the rows depend only on the public parameters: build them once
-        rows = twisted_kex.system_rows(params)
-        solve = partial(twisted_kex.solve, params, rows)
-        shape = (len(rows[0]), len(rows))
+        system = twisted_kex.system_rows(params)
+        solve = partial(twisted_kex.solve, params, system)
+        shape = (system.unknowns, len(system.rows))
     keys = []
     solve_ms = 0.0
     for target, other in directions:

@@ -9,10 +9,12 @@ factors by trial division.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 MAX_PRIME = (1 << 16) - 1
 MAX_DEGREE = 8
@@ -430,49 +432,13 @@ def _row_reduce(rows, rhs, p: int):
     return a, piv_cols, x
 
 
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _solve_packed_f2(rows, rhs) -> Optional[list]:
-    """gauss_solve for p = 2 on rows packed into ints, eliminated with XOR.
-
-    Bit j of a packed row is the coefficient of unknown j and bit c is the
-    right-hand side, so a row whose lowest set bit is bit c reads 0 = 1.
-    Each step pivots on the leftmost column any remaining row has, and clears
-    that column from every other row (Gauss-Jordan).  A reduced pivot row then
-    holds no other pivot column, so with free variables zero its unknown is
-    its right-hand-side bit.
-    """
-    c = _check_shape(rows, rhs)
-    rhs_bit = 1 << c
-    live = []
-    for row, b in zip(rows, rhs):
-        # the row's low bits, last unknown first, as the digits 0/1 of one int
-        packed = int(bytes([v & 1 for v in row[::-1]]).translate(_BINARY_DIGITS), 2)
-        packed |= (b & 1) << c
-        if packed:
-            live.append(packed)
-    done: List[int] = []
-    while live:
-        bit = min(v & -v for v in live)
-        if bit == rhs_bit:
-            return None
-        pivot = next(v for v in live if v & bit)
-        live = [w for w in (v ^ pivot if v & bit else v for v in live) if w]
-        done = [v ^ pivot if v & bit else v for v in done]
-        done.append(pivot)
-    x = [0] * c
-    for v in done:
-        x[(v & -v).bit_length() - 1] = v >> c
-    return x
-
-
 def gauss_solve_full(rows, rhs, p: int):
     """Row-reduce A x = b over F_p.
 
     Returns (solution, kernel_basis, pivot_cols) with free variables set to
     zero, or None when the system is inconsistent.  Adding any combination of
-    kernel vectors to the particular solution stays a solution.
+    kernel vectors to the particular solution stays a solution.  This list
+    elimination is the reference the packed gauss_solve is tested against.
     """
     reduced = _row_reduce(rows, rhs, p)
     if reduced is None:
@@ -498,15 +464,190 @@ def gauss_solve_full(rows, rhs, p: int):
     return x, kernel, piv_cols
 
 
+# -- the same solve on rows packed into ints -----------------------------------
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# array type codes by lane width; a width without one packs through bytes
+_LANE_CODES = {array(code).itemsize * 8: code for code in "HIQ"}
+
+
+def lane_bits(p: int, rows: int) -> int:
+    """Lane width of a packed system of rows equations over F_p.
+
+    1 for p = 2, which eliminates with XOR.  Otherwise the first of 16, 32,
+    64, 128, ... bits that holds p + rows * (p - 1)^2: a row gets at most
+    one multiple (p - f) * pivot_row, with f and the reduced pivot row's
+    entries below p, per pivot, so no lane of a row that started below p
+    ever carries into the next.
+    """
+    if p == 2:
+        return 1
+    need = (p + rows * (p - 1) ** 2).bit_length()
+    bits = 16
+    while bits < need:
+        bits *= 2
+    return bits
+
+
+def pack(values, bits: int) -> int:
+    """The int whose lane j, bits wide, holds values[j] (each below 2^bits)."""
+    if bits == 1:
+        # the values, last first, as the digits 0/1 of one int
+        return int(bytes(values[::-1]).translate(_BINARY_DIGITS), 2)
+    code = _LANE_CODES.get(bits)
+    if code is None:
+        raw = b"".join(v.to_bytes(bits // 8, "little") for v in values)
+    else:
+        lanes = array(code, values)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        raw = lanes.tobytes()
+    return int.from_bytes(raw, "little")
+
+
+def unpack(x: int, count: int, bits: int) -> list:
+    """Lanes 0 .. count-1 of x, for a lane width of at least 8 bits."""
+    size = bits // 8
+    raw = x.to_bytes(count * size, "little")
+    code = _LANE_CODES.get(bits)
+    if code is None:
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    lanes = array(code, raw)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tolist()
+
+
+class PackedRows(NamedTuple):
+    """Equations over F_p, one int per row: lane j holds the coefficient of
+    unknown j, in lanes of lane_bits(p, len(rows)) bits, each below p."""
+
+    rows: list
+    unknowns: int
+    p: int
+
+    @property
+    def bits(self) -> int:
+        return lane_bits(self.p, len(self.rows))
+
+
+def _eliminate_f2(rows: list, c: int) -> Optional[list]:
+    """Solve the packed F_2 rows [A | b] (b is bit c) by XOR elimination.
+
+    A live row is filed under its lead, its lowest set bit.  Each step
+    pivots on the leftmost lead and XORs the pivot into the rows that share
+    it; rows with a later lead are not touched.  A row whose lead is bit c
+    reads 0 = 1.  Back-substitution, free variables zero: a pivot's unknown
+    is its right-hand side plus the parity of the later unknowns it holds.
+    """
+    by_lead: dict = {}  # lead column -> rows
+    for v in rows:
+        if v:
+            by_lead.setdefault((v & -v).bit_length() - 1, []).append(v)
+    pivots = []
+    while by_lead:
+        col = min(by_lead)
+        if col == c:
+            return None
+        pivot, *rest = by_lead.pop(col)
+        pivots.append((col, pivot))
+        for v in rest:
+            v ^= pivot
+            if v:
+                by_lead.setdefault((v & -v).bit_length() - 1, []).append(v)
+    x = 0  # bit j is unknown j
+    for col, pivot in reversed(pivots):
+        if ((pivot >> c) ^ (pivot & x).bit_count()) & 1:
+            x |= 1 << col
+    return [int(b) for b in format(x, f"0{c}b")[::-1]]
+
+
+def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
+    """Solve the packed F_p rows [A | b] (b is lane c) by forward elimination.
+
+    Lanes hold unreduced values (delayed modular reduction: Dumas, Gautier &
+    Pernet, ISSAC 2002).  A live row is filed under its lead, its lowest lane
+    not divisible by p, and shifted down so that the lead is its lane 0; the
+    lanes below are divisible by p and are dropped on the way.  Each step
+    pivots on the leftmost lead, reduces that one row to a leading 1
+    (unpack, mod, scale, repack), and clears the column from the rows that
+    share the lead with one multiply-add each; rows with a later lead are
+    not touched.  Back-substitution over the pivot rows, free variables zero.
+    """
+    mask = (1 << bits) - 1
+    by_lead: dict = {}  # lead column -> rows shifted down to it
+
+    def file(col: int, v: int) -> bool:
+        """File v, whose lane 0 is lane col; False when it reads 0 = b, b != 0."""
+        while v:
+            lane = v & mask
+            if lane % p:
+                if col == c:
+                    return False
+                by_lead.setdefault(col, []).append(v)
+                return True
+            # skip a lane divisible by p, or a run of zero lanes
+            skip = 1 if lane else ((v & -v).bit_length() - 1) // bits
+            v >>= skip * bits
+            col += skip
+        return True
+
+    if not all(file(0, v) for v in rows):
+        return None
+    pivots = []  # (column, reduced lanes from that column to the right-hand side)
+    while by_lead:
+        col = min(by_lead)
+        pivot, *rest = by_lead.pop(col)
+        lanes = unpack(pivot, c + 1 - col, bits)
+        inv = pow(lanes[0], -1, p)
+        lanes = [v * inv % p for v in lanes]
+        pivots.append((col, lanes))
+        # lane col + f + (p - f) * 1 is divisible by p: drop it, add the rest
+        tail = pack(lanes, bits) >> bits
+        for v in rest:
+            if not file(col + 1, (v >> bits) + (p - (v & mask) % p) * tail):
+                return None
+    x = [0] * c
+    solved = []  # (column, value) of the nonzero unknowns found so far
+    for col, lanes in reversed(pivots):
+        s = lanes[c - col]
+        for j, v in solved:
+            s -= lanes[j - col] * v
+        s %= p
+        if s:
+            x[col] = s
+            solved.append((col, s))
+    return x
+
+
+def gauss_solve_packed(system: PackedRows, rhs) -> Optional[list]:
+    """The solution of the packed system against rhs, free variables zero, or None.
+
+    The right-hand side goes into lane `unknowns` of each row.  p = 2 runs
+    the XOR elimination, every odd p the delayed-reduction one; both return
+    exactly what gauss_solve_full returns for the unpacked rows.
+    """
+    rows, c, p = system
+    if len(rows) == 0 or len(rows) != len(rhs):
+        raise ValueError("need equally many rows and right-hand sides, at least one")
+    bits = system.bits
+    top = c * bits
+    packed = [row | (b % p) << top for row, b in zip(rows, rhs)]
+    if p == 2:
+        return _eliminate_f2(packed, c)
+    return _eliminate_fp(packed, c, p, bits)
+
+
 def gauss_solve(rows, rhs, p: int) -> Optional[list]:
     """The solution of A x = b over F_p with free variables zero, or None.
 
     This is exactly ``gauss_solve_full(rows, rhs, p)[0]``, without building
-    the kernel basis.  For p = 2 the rows are packed into ints and eliminated
-    with XOR; the free-variables-zero solution depends only on which columns
-    are pivots, so both paths return the same vector.
+    the kernel basis: the rows are packed into ints and solved by
+    gauss_solve_packed.  The free-variables-zero solution depends only on
+    which columns are pivots, so the packed and the list elimination return
+    the same vector.
     """
-    if p == 2:
-        return _solve_packed_f2(rows, rhs)
-    reduced = _row_reduce(rows, rhs, p)
-    return None if reduced is None else reduced[2]
+    c = _check_shape(rows, rhs)
+    bits = lane_bits(p, len(rows))
+    packed = [pack([v % p for v in row], bits) for row in rows]
+    return gauss_solve_packed(PackedRows(packed, c, p), rhs)

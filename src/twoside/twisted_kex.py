@@ -28,14 +28,14 @@ from typing import Tuple
 from . import exchange
 from .errors import AttackError, SizeCapError
 from .exchange import Codec, KeyPair, Transcript
-from .gf import f_mul, gauss_solve, make_field_ctx, powers
+from .gf import PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, pack, powers
 from .twisted_ring import (
     RingCtx,
     RingElement,
     basis_a2,
     basis_r1,
     element_from_coeffs,
-    element_to_json,
+    element_to_coeffs,
     flatten,
     make_ring_ctx,
     orbit,
@@ -183,27 +183,32 @@ def _times_reflections(elem: RingElement, terms) -> RingElement:
 # -- key recovery from public data only --------------------------------------
 
 
-def _columns(params: TwistedParams, count: int) -> list:
-    """flatten(t^s * rot_i(h * S_j)) at index (s * m + i) * w + j, for s < count.
+def _scaled(params: TwistedParams, count: int) -> list:
+    """flatten(t^s * h * S_j) at [s][j], for s < count and j < w = m//2 + 1.
 
-    x^i * e rotates both halves of e, (k, l) -> ((k + i) mod m, l), with no
-    twist: on the flattened vector each half rotates by i * n entries.  The
-    w = m//2 + 1 elements h * S_j are built once and scaled once per t^s.
+    The w elements h * S_j are built once and scaled once per t^s.
     """
     ctx = params.ctx
     fld = ctx.field
-    half = ctx.m * fld.n
     h_s = [
         _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)])
         for j in range(ctx.m // 2 + 1)
     ]
+    return [[flatten(elem.scale(tp)) for elem in h_s] for tp in powers(fld, fld.t, count)]
+
+
+def _columns(params: TwistedParams, count: int) -> list:
+    """flatten(t^s * rot_i(h * S_j)) at index (s * m + i) * w + j, for s < count.
+
+    x^i * e rotates both halves of e, (k, l) -> ((k + i) mod m, l), with no
+    twist: on the flattened vector each half rotates by i * n entries.
+    """
+    n = params.ctx.field.n
+    half = params.ctx.m * n
     columns = []
-    for tp in powers(fld, fld.t, count):
-        halves = []
-        for elem in h_s:
-            vec = flatten(elem.scale(tp))
-            halves.append((vec[:half], vec[half:]))
-        for cut in range(half, 0, -fld.n):  # cut = half - i * n for i = 0 .. m-1
+    for vecs in _scaled(params, count):
+        halves = [(vec[:half], vec[half:]) for vec in vecs]
+        for cut in range(half, 0, -n):  # cut = half - i * n for i = 0 .. m-1
             columns.extend(rot[cut:] + rot[:cut] + refl[cut:] + refl[:cut] for rot, refl in halves)
     return columns
 
@@ -305,22 +310,41 @@ def recover_shared_key(
     return replay(params, _fold(terms(), fld), other_pk)
 
 
-def system_rows(params: TwistedParams) -> list:
-    """F_p rows of the attack system solved by solve, for any target.
+def system_rows(params: TwistedParams) -> PackedRows:
+    """The attack system solved by solve, for any target, as packed F_p rows.
 
-    Unknown (a, i, j), at index (a * m + i) * w + j, is the coefficient of
+    Unknown (a, i, j), lane (a * m + i) * w + j, is the coefficient of
     t^a * rot_i(h * S_j) for a < n, i < m and j < w = m//2 + 1: 2mn equations
-    in n * m * w unknowns, n times fewer than attack_system.  The columns are
-    the w elements h * S_j, scaled by t^a and rotated by index shifts.  Over
-    the size cap of the paper's system it raises ValueError before building
-    anything, as attack_system does.
+    in n * m * w unknowns, n times fewer than attack_system.  Equation
+    (l, k, r), row (l * m + k) * n + r, is coordinate r of slot (l, k) of the
+    flattened elements.  Since rot_i moves slot (l, k - i) to (l, k), lane
+    (a, i, j) of row (l, k, r) is coordinate r of slot (l, k - i) of
+    t^a * h * S_j: only the 2n rows with k = 0 are packed from the scaled
+    elements, and row k + 1 is row k with each block of m * w lanes (one
+    t^a) rotated up by w lanes.  Over the size cap of the paper's system it
+    raises ValueError before building anything, as attack_system does.
     """
-    n = params.ctx.field.n
-    check_system_size(n, params.ctx.m)
-    return list(zip(*_columns(params, n)))
+    ctx = params.ctx
+    fld = ctx.field
+    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
+    check_system_size(n, m)
+    bits = lane_bits(fld.p, 2 * m * n)
+    step = w * bits  # one rotation: lane (a, i, j) -> (a, i + 1, j)
+    first = sum(((1 << step) - 1) << a * m * step for a in range(n))  # the lanes i = 0
+    rest = ((1 << n * m * step) - 1) ^ first
+    scaled = _scaled(params, n)
+    rows = [0] * (2 * m * n)
+    for l in range(2):
+        for r in range(n):
+            slots = [(l * m + (-i) % m) * n + r for i in range(m)]  # slot (l, -i), coord r
+            x = pack([vecs[j][s] for vecs in scaled for s in slots for j in range(w)], bits)
+            for k in range(m):
+                rows[(l * m + k) * n + r] = x
+                x = ((x << step) & rest) | ((x >> step * (m - 1)) & first)
+    return PackedRows(rows, n * m * w, fld.p)
 
 
-def solve(params: TwistedParams, rows: list, target_pk: RingElement):
+def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
     """The replay coefficients {(i, j): c_ij} for target_pk, or None.
 
     Solves system_rows(params) against target_pk with free variables zero
@@ -330,7 +354,7 @@ def solve(params: TwistedParams, rows: list, target_pk: RingElement):
     recovers the same key as recover_shared_key.
     """
     fld = params.ctx.field
-    z = gauss_solve(rows, flatten(target_pk), fld.p)
+    z = gauss_solve_packed(system, flatten(target_pk))
     if z is None:
         return None
     m, w = params.ctx.m, params.ctx.m // 2 + 1
@@ -372,17 +396,13 @@ def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement)
 # -- serialization ------------------------------------------------------------
 
 
-def _coeffs_to_json(elem: RingElement) -> list:
-    return element_to_json(elem)["coeffs"]
-
-
 def _coeffs_from_json(params: TwistedParams, items) -> RingElement:
     return element_from_coeffs(params.ctx, items)
 
 
 def params_to_json(params: TwistedParams) -> dict:
     obj = ring_ctx_to_json(params.ctx)
-    obj["h"] = _coeffs_to_json(params.h)
+    obj["h"] = element_to_coeffs(params.h)
     return obj
 
 
@@ -394,8 +414,8 @@ def params_from_json(obj: dict) -> TwistedParams:
 
 CODEC = Codec(
     "twisted", params_to_json, params_from_json,
-    _coeffs_to_json, _coeffs_from_json,  # public keys and the shared key
-    _coeffs_to_json, _coeffs_from_json,  # secrets
+    element_to_coeffs, _coeffs_from_json,  # public keys and the shared key
+    element_to_coeffs, _coeffs_from_json,  # secrets
 )
 
 

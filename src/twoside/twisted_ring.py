@@ -352,16 +352,17 @@ def ring_ctx_from_json(obj: dict) -> RingCtx:
     return make_ring_ctx(field_from_json(obj), m)
 
 
-def element_to_json(elem: RingElement) -> dict:
-    items = []
+def element_to_coeffs(elem: RingElement) -> list:
+    """The [i, k, c] items of the nonzero coefficients, as element_from_coeffs reads them."""
     m = elem.ctx.m
-    for idx, c in enumerate(elem.coeffs):
-        if any(c):
-            items.append([idx % m, idx // m, list(c)])
+    return [[idx % m, idx // m, list(c)] for idx, c in enumerate(elem.coeffs) if any(c)]
+
+
+def element_to_json(elem: RingElement) -> dict:
     return {
-        "m": m,
+        "m": elem.ctx.m,
         "field": field_to_json(elem.ctx.field),
-        "coeffs": items,
+        "coeffs": element_to_coeffs(elem),
     }
 
 

@@ -407,6 +407,32 @@ def test_attack_rejects_transcript_over_system_cap(tmp_path, monkeypatch):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("p,fext,m", [(3, 2, 4), (5, 1, 6), (7, 1, 8)])
+def test_twisted_attack_solves_without_the_list_elimination(
+    tmp_path, monkeypatch, capsys, p, fext, m
+):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, gf, twisted_kex
+
+    out = tmp_path / "t.json"
+    assert cli.main([
+        "exchange", "--scheme", "twisted", "--p", str(p), "--fext", str(fext), "--m", str(m),
+        "--seed", "3", "--out", str(out), "--insecure-dump",
+    ]) == 0
+    capsys.readouterr()
+
+    def fail(*args):
+        raise AssertionError("the timed attack ran the list elimination")
+
+    # the list elimination is the oracle; the timed path solves on packed lanes
+    monkeypatch.setattr(gf, "_row_reduce", fail)
+    tr = twisted_kex.transcript_from_json(json.loads(out.read_text()))
+    assert twisted_kex.attack(tr.params, tr.alice.pk, tr.bob.pk) == tr.shared_key
+    assert cli.main(["attack", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["attack_key_matches"] is True
+
+
 def test_attack_twisted_builds_system_rows_once(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(SRC))
     from twoside import cli, twisted_kex

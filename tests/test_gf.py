@@ -311,18 +311,25 @@ def test_field_caches_are_bounded():
 # -- gauss_solve against the gauss_solve_full reference -------------------------
 
 
+# every prime gauss_solve packs: the XOR kernel, and odd p in each lane width
+SOLVE_PRIMES = (2, 3, 5, 7, 257, 65521, 2**31 - 1)
+
+
 @st.composite
 def linear_systems(draw):
     """(rows, rhs, p, conflicting) with unreduced entries, some negative.
 
-    p = 2 systems run up to 150 columns, so packed rows span several machine
-    words.  When `conflicting` is set, the first equation is repeated with a
-    right-hand side that differs mod p, so the system has no solution.
+    p = 2 systems run up to 150 columns and odd p up to 40, so packed rows
+    span several machine words.  Up to 9 rows put every lane width
+    gf.lane_bits picks in play (test_linear_systems_cover_every_lane_width).
+    Zero entries are drawn often, so rows hold runs of zero lanes.  When
+    `conflicting` is set, the first equation is repeated with a right-hand
+    side that differs mod p, so the system has no solution.
     """
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    c = draw(st.integers(1, 150 if p == 2 else 10))
+    p = draw(st.sampled_from(SOLVE_PRIMES))
+    c = draw(st.integers(1, 150 if p == 2 else 40))
     r = draw(st.integers(1, 8))
-    entry = st.integers(-2 * p, 3 * p)
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 3 * p))
     rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
     rhs = draw(st.lists(entry, min_size=r, max_size=r))
     conflicting = draw(st.booleans())
@@ -341,6 +348,36 @@ def test_gauss_solve_matches_full_reference(system):
     if conflicting:
         assert got is None
     assert got == (None if full is None else full[0])
+
+
+def test_linear_systems_cover_every_lane_width():
+    # 1 to 9 rows (8 plus a conflicting one), as linear_systems draws them
+    widths = {p: {gf.lane_bits(p, r) for r in range(1, 10)} for p in SOLVE_PRIMES}
+    assert widths == {
+        2: {1}, 3: {16}, 5: {16}, 7: {16}, 257: {32}, 65521: {32, 64}, 2**31 - 1: {64, 128},
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257, 65521, 2**31 - 1])
+def test_pack_unpack_round_trip(p):
+    bits = gf.lane_bits(p, 9)
+    rng = Random(p)
+    values = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(37)]
+    packed = gf.pack(values, bits)
+    assert packed < 1 << 37 * bits
+    assert [(packed >> j * bits) & ((1 << bits) - 1) for j in range(37)] == values
+    if bits > 1:
+        assert gf.unpack(packed, 37, bits) == values
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 2, 4), (5, 1, 6), (7, 1, 8), (5, 2, 12)])
+def test_gauss_solve_matches_full_on_odd_p_attack_systems(p, n, m):
+    params = twisted_kex.random_params(p, n, m, Random(21))
+    tr = twisted_kex.run_exchange(params, Random(22))
+    rows, rhs, _, _ = twisted_kex.attack_system(params, tr.alice.pk)
+    got = gauss_solve(rows, rhs, p)
+    assert got is not None
+    assert got == gauss_solve_full(rows, rhs, p)[0]
 
 
 def test_gauss_solve_matches_full_on_attack_system():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twoside import twisted_kex, twisted_ring
 from twoside.errors import AttackError
 from twoside.exchange import KeyPair
-from twoside.gf import gauss_solve, gauss_solve_full
+from twoside.gf import gauss_solve, gauss_solve_full, gauss_solve_packed, lane_bits
 from twoside.twisted_kex import (
     MAX_SYSTEM_CELLS,
     TwistedParams,
@@ -415,12 +415,40 @@ def test_solve_zero_target_gives_no_terms(p, n, m):
     assert replay(params, coeffs, params.h) == zero
 
 
+def unpacked_rows(system):
+    """The rows of a packed system as tuples, read lane by lane with shifts."""
+    bits = system.bits
+    mask = (1 << bits) - 1
+    return [tuple((row >> j * bits) & mask for j in range(system.unknowns)) for row in system.rows]
+
+
 @pytest.mark.parametrize("p,n,m", TWISTED_GRID + [(2, 4, 6), (2, 4, 16)])
 def test_system_rows_shape(p, n, m):
     params = fixed_params(p, n, m)
-    rows = system_rows(params)
-    assert len(rows) == 2 * m * n  # equations, as in attack_system
-    assert {len(row) for row in rows} == {n * m * (m // 2 + 1)}  # n times fewer unknowns
+    system = system_rows(params)
+    assert len(system.rows) == 2 * m * n  # equations, as in attack_system
+    assert system.unknowns == n * m * (m // 2 + 1)  # n times fewer unknowns
+    assert (system.p, system.bits) == (p, lane_bits(p, 2 * m * n))
+    # every row holds exactly one lane per unknown: none reaches past the last,
+    # the last is in use, and every lane is reduced mod p
+    top = (system.unknowns - 1) * system.bits
+    assert all(row >> top + system.bits == 0 for row in system.rows)
+    assert any(row >> top for row in system.rows)
+    assert all(v < p for row in unpacked_rows(system) for v in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_system_rows_match_transposed_columns(data):
+    params = draw_params(data)
+    ctx = params.ctx
+    system = system_rows(params)
+    rows = unpacked_rows(system)
+    assert rows == list(zip(*twisted_kex._columns(params, ctx.field.n)))
+    # the packed solve returns exactly the list elimination's solution
+    target = flatten(draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse"]))))
+    full = gauss_solve_full(rows, target, ctx.field.p)
+    assert gauss_solve_packed(system, target) == (None if full is None else full[0])
 
 
 def test_attack_system_size_cap(monkeypatch):
