@@ -15,8 +15,6 @@ key, no secrets needed.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from random import Random
 from typing import Tuple
@@ -32,6 +30,7 @@ from .digital import (
 from . import exchange
 from .errors import AttackError
 from .exchange import Codec, KeyPair, Transcript
+from .gf import pack, unpack
 from .matrices import (
     Circulant,
     SemiringMatrix,
@@ -122,33 +121,14 @@ def run_exchange(params: DigitalParams, rng: Random) -> Transcript:
 # target by the columns (Cuninghame-Green, Minimax Algebra, 1979; Butkovic,
 # Max-linear Systems, 2010), and the replay is one max-min combination.
 #
-# The ranks of a flattened n x n matrix are packed into one int, entry l in
-# bits 16l .. 16l+15.  A rank fits in 15 bits, so bit 15 of every lane is a
-# guard that stays 0 in packed ranks.  ((a | G) - b) & G then has the guard
-# bit of each lane set where a >= b, with no borrow across lanes, and
-# m - (m >> 15) widens those guard bits to a value mask (after Lamport,
+# The ranks of a flattened n x n matrix are packed into one int by gf.pack,
+# entry l in bits 16l .. 16l+15.  A rank fits in 15 bits, so bit 15 of every
+# lane is a guard that stays 0 in packed ranks.  ((a | G) - b) & G then has
+# the guard bit of each lane set where a >= b, with no borrow across lanes,
+# and m - (m >> 15) widens those guard bits to a value mask (after Lamport,
 # "Multiple byte processing with full-word instructions", CACM 1975).  Every
 # shifted copy of a matrix, and every compare, min and max over all n^2
 # entries, is then a few int operations.
-
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _pack(ranks) -> int:
-    """Ranks below 2^15, one 16-bit lane each, the first in the lowest bits."""
-    lanes = array("H", ranks)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
-
-
-def _unpack(packed: int, size: int) -> array:
-    """The first `size` lanes of a packed int, as an array of ranks."""
-    lanes = array("H", packed.to_bytes(2 * size, "little"))
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes
-
 
 def _lane_constants(n: int) -> Tuple[int, int]:
     """ONES (1 in each of the n*n lanes) and GUARD (bit 15 of each lane)."""
@@ -199,7 +179,7 @@ def _max_min(zs, copies, n: int) -> int:
 
 def _matrix(packed: int, values: list, n: int) -> SemiringMatrix:
     """The n x n matrix over W whose ranks are packed into `packed`."""
-    flat = [values[a] for a in _unpack(packed, n * n)]
+    flat = [values[a] for a in unpack(packed, n * n, 16)]
     return SemiringMatrix(W, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
 
 
@@ -218,8 +198,8 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     flat = params.matrix.flat()
     # shifted copies of the entry positions 0 .. n^2 - 1, read back from M
     columns = tuple(
-        tuple([flat[k] for k in _unpack(copy, n * n)])
-        for copy in _shifted_copies(_pack(range(n * n)), n)
+        tuple([flat[k] for k in unpack(copy, n * n, 16)])
+        for copy in _shifted_copies(pack(range(n * n), 16), n)
     )
     pairs = tuple((i, j) for i in range(n) for j in range(n))
     return columns, pairs, circulant_generators(W, n)
@@ -256,7 +236,7 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
         raise ValueError(f"dimension mismatch: {n} vs {right.n}")
     flat = x.flat()
     values, rank = _chain(left.col, right.col, flat)
-    packed = _pack([rank[v] for v in flat])
+    packed = pack([rank[v] for v in flat], 16)
     y = _max_min([rank[v] for v in left.col], _rows_down(packed, n), n)
     acc = _max_min([rank[v] for v in right.col], _rows_left(y, n), n)
     return _matrix(acc, values, n)
@@ -277,23 +257,23 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
     iff some k has min(z_k, H_k[l]) >= y_l, that is H_k[l] >= y_l and
     z_k >= y_l.  `cover` collects, in each lane's guard bit, whether some k
     so far does; the candidate solves the system iff every lane is covered.
+    Raises ValueError when target_pk is not n x n.
     """
-    target = target_pk.flat()
     n = params.n
+    _require_size(n, target_pk.n, "matrix")
+    target = target_pk.flat()
     size = n * n
-    if len(target) != size:
-        raise ValueError("column length must match target length")
     matrix = params.matrix.flat()
     values, rank = _chain(target, matrix)
     ones, guard = _lane_constants(n)
-    ys = _pack([rank[v] for v in target])
+    ys = pack([rank[v] for v in target], 16)
     ys_g = ys | guard
     tops = (len(values) - 1) * ones
     zs = []
     cover = 0
-    for h in _shifted_copies(_pack([rank[v] for v in matrix]), n):
+    for h in _shifted_copies(pack([rank[v] for v in matrix], 16), n):
         m = ((ys_g - h) & guard) ^ guard  # h > y
-        z = min(_unpack(tops ^ ((tops ^ ys) & (m - (m >> 15))), size))
+        z = min(unpack(tops ^ ((tops ^ ys) & (m - (m >> 15))), size, 16))
         zs.append(z)
         cover |= ((h | guard) - ys) & ((z * ones | guard) - ys)
     if cover & guard != guard:
@@ -316,7 +296,7 @@ def replay(
     _require_size(n, other_pk.n, "matrix")
     other = other_pk.flat()
     values, rank = _chain(solution, other)
-    copies = _shifted_copies(_pack([rank[v] for v in other]), n)
+    copies = _shifted_copies(pack([rank[v] for v in other], 16), n)
     return _matrix(_max_min([rank[z] for z in solution], copies, n), values, n)
 
 

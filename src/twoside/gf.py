@@ -102,15 +102,6 @@ def _pmod(a, b, p) -> Tuple[int, ...]:
     return _pdivmod(a, b, p)[1]
 
 
-def _pgcd(a, b, p) -> Tuple[int, ...]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((v * inv) % p for v in a)
-    return a
-
-
 def _pextgcd(a, b, p):
     """(g, s) with s*a == g modulo b, g the monic gcd of a and b."""
     r0, r1 = _trim(a), _trim(b)
@@ -153,7 +144,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     if _psub(frob[deg], x, p):
         return False
     for q in _prime_factors(deg):
-        if _pgcd(_psub(frob[deg // q], x, p), poly, p) != (1,):
+        if _pextgcd(_psub(frob[deg // q], x, p), poly, p)[0] != (1,):
             return False
     return True
 
@@ -168,23 +159,29 @@ def find_irreducible(p: int, n: int, rng: Random) -> Tuple[int, ...]:
             return cand
 
 
-def _elem_pow_raw(a, e: int, modulus, p) -> Tuple[int, ...]:
-    return _ppowmod(_trim(a), e, modulus, p)
+def _is_primitive(t, modulus, p: int, n: int) -> bool:
+    """Whether the length-n vector t generates the multiplicative group of
+    F_p[u] / modulus: t^(order/q) != 1 for every prime q dividing the order."""
+    order = p**n - 1
+    t = _trim(t)
+    if order == 1:
+        return t == (1,)
+    return bool(t) and all(
+        _ppowmod(t, order // q, modulus, p) != (1,) for q in _prime_factors(order)
+    )
 
 
 def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
-    """Random search for a generator of the multiplicative group of F_{p^n}."""
+    """Random search for a generator of the multiplicative group of F_{p^n}.
+
+    Draws n values per candidate and skips zero; F_2 has only 1 and draws nothing.
+    """
     modulus = _trim(modulus)
-    order = p**n - 1
-    one = (1,) + (0,) * (n - 1)
-    if order == 1:
-        return one
-    checks = [order // q for q in _prime_factors(order)]
+    if p**n == 2:
+        return (1,)
     while True:
         cand = tuple(rng.randrange(p) for _ in range(n))
-        if not any(cand):
-            continue
-        if all(_pad_to(_elem_pow_raw(cand, e, modulus, p), n) != one for e in checks):
+        if _is_primitive(cand, modulus, p, n):
             return cand
 
 
@@ -210,12 +207,7 @@ class FieldCtx:
         object.__setattr__(self, "modulus", tuple(self.modulus))
         object.__setattr__(self, "t", tuple(self.t))
         p, n = self.p, self.n
-        if p > MAX_PRIME or not is_prime(p):
-            raise ValueError("p must be a prime below 2^16")
-        if not 1 <= n <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")
-        if p**n > MAX_ORDER:
-            raise ValueError("field order exceeds the desk-scale cap")
+        check_order(p, n)
         if len(self.modulus) != n + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
         if any(not (0 <= c < p) for c in self.modulus):
@@ -224,19 +216,10 @@ class FieldCtx:
             raise ValueError("modulus is reducible")
         if len(self.t) != n or any(not (0 <= c < p) for c in self.t):
             raise ValueError("t must be a length-n coefficient vector mod p")
-        order = p**n - 1
-        one = (1,) + (0,) * (n - 1)
-        if order == 1:
-            ok = self.t == one
-        else:
-            ok = any(self.t) and all(
-                _pad_to(_elem_pow_raw(self.t, order // q, self.modulus, p), n) != one
-                for q in _prime_factors(order)
-            )
-        if not ok:
+        if not _is_primitive(self.t, self.modulus, p, n):
             raise ValueError("t must generate the multiplicative group")
         object.__setattr__(self, "_zero", (0,) * n)
-        object.__setattr__(self, "_one", one)
+        object.__setattr__(self, "_one", (1,) + (0,) * (n - 1))
         # f_mul and f_inv are cached on the context: hash the fields once
         object.__setattr__(self, "_hash", hash((p, n, self.modulus, self.t)))
 
@@ -260,16 +243,24 @@ class FieldCtx:
         return (c % self.p,) + (0,) * (self.n - 1)
 
 
-def make_field_ctx(p: int, n: int, rng) -> FieldCtx:
-    """Build a field context; rng may be a seed int or a Random instance."""
-    if not isinstance(rng, Random):
-        rng = Random(rng)
+def check_order(p: int, n: int) -> None:
+    """Raise ValueError unless F_{p^n} is within the desk-scale caps.
+
+    p is compared with MAX_PRIME before is_prime runs its trial division.
+    """
     if p > MAX_PRIME or not is_prime(p):
         raise ValueError("p must be a prime below 2^16")
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")
     if p**n > MAX_ORDER:
         raise ValueError("field order exceeds the desk-scale cap")
+
+
+def make_field_ctx(p: int, n: int, rng) -> FieldCtx:
+    """Build a field context; rng may be a seed int or a Random instance."""
+    if not isinstance(rng, Random):
+        rng = Random(rng)
+    check_order(p, n)
     modulus = find_irreducible(p, n, rng)
     t = find_primitive(p, n, modulus, rng)
     return FieldCtx(p, n, modulus, t)
@@ -300,13 +291,7 @@ def f_mul(ctx: FieldCtx, a, b) -> tuple:
     p, n = ctx.p, ctx.n
     if n == 1:
         return ((a[0] * b[0]) % p,)
-    out = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    red = _pmod(_trim([v % p for v in out]), ctx.modulus, p)
-    return _pad_to(red, n)
+    return _pad_to(_pmod(_pmul(a, b, p), ctx.modulus, p), n)
 
 
 @lru_cache(maxsize=_FIELD_CACHE_SIZE)
@@ -323,14 +308,7 @@ def f_pow(ctx: FieldCtx, a, e: int) -> tuple:
     if e < 0:
         a = f_inv(ctx, a)
         e = -e
-    result = ctx.one
-    base = tuple(a)
-    while e:
-        if e & 1:
-            result = f_mul(ctx, result, base)
-        base = f_mul(ctx, base, base)
-        e >>= 1
-    return result
+    return _pad_to(_ppowmod(_trim(a), e, ctx.modulus, ctx.p), ctx.n)
 
 
 def powers(ctx: FieldCtx, a, count: int) -> list:
@@ -505,8 +483,9 @@ def pack(values, bits: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def unpack(x: int, count: int, bits: int) -> list:
-    """Lanes 0 .. count-1 of x, for a lane width of at least 8 bits."""
+def unpack(x: int, count: int, bits: int) -> Sequence[int]:
+    """Lanes 0 .. count-1 of x, for a lane width of at least 8 bits: an
+    array for 16-, 32- and 64-bit lanes, a list of ints for wider ones."""
     size = bits // 8
     raw = x.to_bytes(count * size, "little")
     code = _LANE_CODES.get(bits)
@@ -515,7 +494,7 @@ def unpack(x: int, count: int, bits: int) -> list:
     lanes = array(code, raw)
     if sys.byteorder == "big":
         lanes.byteswap()
-    return lanes.tolist()
+    return lanes
 
 
 class PackedRows(NamedTuple):

@@ -191,10 +191,11 @@ def _scaled(params: TwistedParams, count: int) -> list:
     ctx = params.ctx
     fld = ctx.field
     h_s = [
-        _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)])
+        _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)]).coeffs
         for j in range(ctx.m // 2 + 1)
     ]
-    return [[flatten(elem.scale(tp)) for elem in h_s] for tp in powers(fld, fld.t, count)]
+    t_pows = powers(fld, fld.t, count)
+    return [[tuple(v for c in hs for v in f_mul(fld, tp, c)) for hs in h_s] for tp in t_pows]
 
 
 def _columns(params: TwistedParams, count: int) -> list:

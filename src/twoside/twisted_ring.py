@@ -358,23 +358,6 @@ def element_to_coeffs(elem: RingElement) -> list:
     return [[idx % m, idx // m, list(c)] for idx, c in enumerate(elem.coeffs) if any(c)]
 
 
-def element_to_json(elem: RingElement) -> dict:
-    return {
-        "m": elem.ctx.m,
-        "field": field_to_json(elem.ctx.field),
-        "coeffs": element_to_coeffs(elem),
-    }
-
-
-def element_from_json(obj: dict, ctx: RingCtx = None) -> RingElement:
-    if ctx is None:
-        ctx = make_ring_ctx(field_from_json(obj["field"]), obj["m"])
-    else:
-        if obj["m"] != ctx.m or field_from_json(obj["field"]) != ctx.field:
-            raise ValueError("element JSON does not match the ring context")
-    return element_from_coeffs(ctx, obj["coeffs"])
-
-
 def element_from_coeffs(ctx: RingCtx, items) -> RingElement:
     """The element of ctx whose nonzero coefficients are the [i, k, c] items.
 

@@ -233,6 +233,31 @@ def random_digit_tie_pair(rng: Random):
     return a, b
 
 
+def schoolbook_mul(ctx: FieldCtx, a, b) -> tuple:
+    """a * b in F_{p^n}: every product a_i b_j u^(i+j), then each u^k with
+    k >= n rewritten top down as -u^(k-n) times the modulus below u^n."""
+    p, n, modulus = ctx.p, ctx.n, ctx.modulus
+    prod = [0] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            prod[i + j] += a[i] * b[j]
+    for k in range(2 * n - 2, n - 1, -1):
+        top, prod[k] = prod[k], 0
+        for i in range(n):
+            prod[k - n + i] -= top * modulus[i]
+    return tuple(v % p for v in prod[:n])
+
+
+def schoolbook_pow(ctx: FieldCtx, a, e: int) -> tuple:
+    """a^e for e >= 0 by binary exponentiation over schoolbook_mul."""
+    result = (1,) + (0,) * (ctx.n - 1)
+    for bit in bin(e)[2:]:
+        result = schoolbook_mul(ctx, result, result)
+        if bit == "1":
+            result = schoolbook_mul(ctx, result, a)
+    return result
+
+
 def gauss_residual(rows, x, rhs, p):
     """Max-norm of A x - b over F_p; zero means exact solution."""
     worst = 0

@@ -293,7 +293,7 @@ def test_solve_matches_maximal_solution(data):
 
 def test_solve_rejects_target_of_other_size():
     params = random_params(3, Random(16))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 x 2, not 3 x 3"):
         solve(params, zeros(W, 2))
 
 

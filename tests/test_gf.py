@@ -1,6 +1,7 @@
 """Finite fields F_{p^n} and exact Gaussian elimination over F_p."""
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -28,7 +29,13 @@ from twoside.gf import (
     make_field_ctx,
 )
 
-from helpers import field_elements, gauss_residual, make_test_field
+from helpers import (
+    field_elements,
+    gauss_residual,
+    make_test_field,
+    schoolbook_mul,
+    schoolbook_pow,
+)
 
 
 def test_is_prime_small():
@@ -101,6 +108,39 @@ def test_make_field_ctx_deterministic():
     assert c == a
 
 
+# (p, n, seed) -> (modulus, t, the next rng.random()), recorded before the
+# primitivity test was shared between find_primitive and FieldCtx
+DRAWS = {
+    (2, 1, 1): ((0, 1), (1,), 0.5692038748222122),
+    (2, 8, 2): ((1, 0, 1, 1, 0, 1, 0, 0, 1), (1, 0, 0, 1, 0, 1, 1, 1), 0.14382946397694396),
+    (3, 5, 3): ((2, 1, 1, 2, 0, 1), (2, 0, 2, 0, 0), 0.7582302462868173),
+    (17, 2, 4): ((15, 4, 1), (2, 2), 0.019817176473073683),
+    (65521, 1, 5): ((40822, 1), (55149,), 0.7398985747399307),
+}
+
+
+@pytest.mark.parametrize("p,n,seed", sorted(DRAWS))
+def test_make_field_ctx_draws_are_pinned(p, n, seed):
+    rng = Random(seed)
+    fld = make_field_ctx(p, n, rng)
+    assert (fld.modulus, fld.t, rng.random()) == DRAWS[p, n, seed]
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 4), (5, 2), (2, 6), (3, 3)])
+def test_field_ctx_rejects_non_primitive_t(p, n):
+    fld = make_test_field(p, n)
+    order = p**n - 1
+    with pytest.raises(ValueError, match="generate"):
+        FieldCtx(p, n, fld.modulus, fld.zero)
+    for k in range(1, order):
+        tk = f_pow(fld, fld.t, k)
+        if math.gcd(k, order) == 1:  # t^k has order `order`
+            assert FieldCtx(p, n, fld.modulus, tk).t == tk
+        else:
+            with pytest.raises(ValueError, match="generate"):
+                FieldCtx(p, n, fld.modulus, tk)
+
+
 def test_field_ctx_validation():
     with pytest.raises(ValueError):
         make_field_ctx(4, 2, Random(0))  # not prime
@@ -156,6 +196,38 @@ def test_inverses():
                 continue
             assert f_mul(ctx, a, f_inv(ctx, a)) == ctx.one
             assert f_add(ctx, a, f_neg(ctx, a)) == ctx.zero
+
+
+# one field per shape of the polynomial core: degree 8, 5, 4 and 2 over small
+# and medium primes, and the degree-1 fast path at the largest prime
+DIFFERENTIAL_FIELDS = [(2, 8), (3, 5), (5, 4), (257, 2), (65521, 1)]
+
+
+@pytest.mark.parametrize("p,n", DIFFERENTIAL_FIELDS)
+def test_field_core_matches_schoolbook_oracle(p, n):
+    fld = make_test_field(p, n)
+    rng = Random(p * 10 + n)
+    order = fld.order
+    sample = [fld.zero, fld.one, fld.t, f_neg(fld, fld.one)]
+    sample += [element_from_index(fld, rng.randrange(order)) for _ in range(12)]
+    for a in sample:
+        for b in sample[:6] + [element_from_index(fld, rng.randrange(order)) for _ in range(6)]:
+            assert f_mul(fld, a, b) == schoolbook_mul(fld, a, b)
+    exponents = [0, 1, 2, 3, 7, order - 2, order - 1, order, 3 * order + 5, (1 << 70) + 9]
+    for a in sample:
+        for e in exponents:
+            assert f_pow(fld, a, e) == schoolbook_pow(fld, a, e)
+        if a == fld.zero:
+            with pytest.raises(ZeroDivisionError):
+                f_inv(fld, a)
+            with pytest.raises(ZeroDivisionError):
+                f_pow(fld, a, -1)
+            continue
+        inv = schoolbook_pow(fld, a, order - 2)  # a^(q-1) = 1 in F_q
+        assert schoolbook_mul(fld, a, inv) == fld.one
+        assert f_inv(fld, a) == inv
+        for e in exponents[1:]:
+            assert f_pow(fld, a, -e) == schoolbook_pow(fld, inv, e)
 
 
 def test_pow_negative_exponent():
@@ -367,7 +439,7 @@ def test_pack_unpack_round_trip(p):
     assert packed < 1 << 37 * bits
     assert [(packed >> j * bits) & ((1 << bits) - 1) for j in range(37)] == values
     if bits > 1:
-        assert gf.unpack(packed, 37, bits) == values
+        assert list(gf.unpack(packed, 37, bits)) == values
 
 
 @pytest.mark.parametrize("p,n,m", [(3, 2, 4), (5, 1, 6), (7, 1, 8), (5, 2, 12)])

@@ -18,8 +18,7 @@ from twoside.twisted_ring import (
     dihedral_inv,
     dihedral_mul,
     element_from_coeffs,
-    element_from_json,
-    element_to_json,
+    element_to_coeffs,
     flatten,
     make_ring_ctx,
     ring_ctx_from_json,
@@ -362,23 +361,17 @@ def test_flatten_round_trip():
 def test_element_json_round_trip():
     ctx = ring(2, 3, 5)
     a = sample_element(ctx, Random(31), full_support=False)
-    obj = element_to_json(a)
-    assert element_from_json(obj) == a
-    assert element_from_json(obj, ctx) == a
+    assert element_from_coeffs(ctx, element_to_coeffs(a)) == a
 
 
 def test_element_json_rejects_garbage():
     ctx = ring(2, 3, 5)
-    base = element_to_json(RingElement.one(ctx))
-    bad = dict(base, coeffs=[[9, 0, [1, 0, 0]]])
     with pytest.raises(ValueError):
-        element_from_json(bad, ctx)
-    bad = dict(base, coeffs=[[0, 0, [1, 0]]])
+        element_from_coeffs(ctx, [[9, 0, [1, 0, 0]]])
     with pytest.raises(ValueError):
-        element_from_json(bad, ctx)
-    bad = dict(base, coeffs=[[0, 0, [1, 0, 0]], [0, 0, [1, 0, 0]]])
+        element_from_coeffs(ctx, [[0, 0, [1, 0]]])
     with pytest.raises(ValueError):
-        element_from_json(bad, ctx)
+        element_from_coeffs(ctx, [[0, 0, [1, 0, 0]], [0, 0, [1, 0, 0]]])
 
 
 @pytest.mark.parametrize(
