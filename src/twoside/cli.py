@@ -4,11 +4,11 @@ Exit codes: 0 success, 2 usage or validation error, 3 recovered key does not
 match the reference (selftest: a check failed), 4 the attack's linear solve
 found no solution.
 
-Every subcommand takes --seed and echoes the seed it used, so any run can be
-replayed exactly.  Benchmark rows are keyed by (params, trial) and each trial
-derives its own child seed from the master seed and that key, so the CSV
-content does not depend on execution order (the timing columns are wall-clock
-measurements and naturally vary between runs).
+The subcommands that draw randomness (exchange, bench, selftest) take --seed
+and echo the seed they used, so any run replays exactly.  Benchmark rows are
+keyed by (params, trial) and each trial derives its own child seed from the
+master seed and that key, so the CSV content does not depend on execution
+order (the timing columns are wall-clock measurements and naturally vary).
 """
 
 from __future__ import annotations

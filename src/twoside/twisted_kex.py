@@ -77,8 +77,9 @@ def random_params(
 def _secret_terms(left: RingElement, right: RingElement, other: RingElement):
     """The nonzero (exponent, coefficient) terms of left in R1 and right in A2.
 
-    Raises ValueError when a factor lives in another ring than other, when
-    left has a reflection part or when right has a rotation part.
+    The one key-space check.  Raises ValueError when a factor lives in
+    another ring than other, when left has a reflection part, or when right
+    has a rotation part or differs at x^e y and x^{-e} y.
     """
     ctx = other.ctx
     if left.ctx != ctx or right.ctx != ctx:
@@ -88,7 +89,10 @@ def _secret_terms(left: RingElement, right: RingElement, other: RingElement):
         raise ValueError("left secret has a nonzero reflection half (outside R1)")
     if any(map(any, right.coeffs[:m])):
         raise ValueError("right secret has a nonzero rotation half (outside A2)")
-    return _terms(left.coeffs[:m]), _terms(right.coeffs[m:])
+    refl = right.coeffs[m:]
+    if any(c != refl[-e] for e, c in enumerate(refl)):
+        raise ValueError("right secret differs at x^e y and x^-e y (outside A2)")
+    return _terms(left.coeffs[:m]), _terms(refl)
 
 
 def keypair_from_secrets(
@@ -99,8 +103,7 @@ def keypair_from_secrets(
     left must lie in R1 and right in A2 (ValueError otherwise).
     """
     g, k = _secret_terms(left, right, params.h)
-    pk = _times_reflections(_times_rotations(g, params.h), k)
-    return KeyPair(left, right, pk)
+    return KeyPair(left, right, _sandwich(params.h, [(g, k)]))
 
 
 def keygen(params: TwistedParams, rng: Random) -> KeyPair:
@@ -113,10 +116,12 @@ def shared_key(own: KeyPair, other_pk: RingElement) -> RingElement:
     """Wrap the peer's public element in our secrets, adjoint on the right.
 
     own.left * other_pk * own.right.adjoint(), by index shifts and field
-    scalings; the secrets must lie in R1 and A2 (ValueError otherwise).
+    scalings: the adjoint scales the x^e y coefficient s to s * tau^{-e}.
+    The secrets must lie in R1 and A2 (ValueError otherwise).
     """
-    g, k = _secret_terms(own.left, own.right.adjoint(), other_pk)
-    return _times_reflections(_times_rotations(g, other_pk), k)
+    g, k = _secret_terms(own.left, own.right, other_pk)
+    fld, pows = other_pk.ctx.field, other_pk.ctx.twist_pows
+    return _sandwich(other_pk, [(g, [(e, f_mul(fld, s, pows[-e])) for e, s in k])])
 
 
 def run_exchange(params: TwistedParams, rng: Random) -> Transcript:
@@ -131,38 +136,14 @@ def _terms(coeffs) -> list:
     return [(e, c) for e, c in enumerate(coeffs) if any(c)]
 
 
-def _sum_terms(ctx: RingCtx, slots: list) -> RingElement:
-    """The element whose coefficient k is the sum of the field elements in slots[k]."""
-    fld = ctx.field
+def _sums(fld, slots: list) -> tuple:
+    """The coefficients whose k-th is the sum of the field elements in slots[k]."""
     p, zero = fld.p, fld.zero
-    return RingElement(
-        ctx,
-        tuple(tuple(sum(c) % p for c in zip(*terms)) if terms else zero for terms in slots),
-    )
+    return tuple(tuple(sum(c) % p for c in zip(*terms)) if terms else zero for terms in slots)
 
 
-def _add_rotations(slots: list, g, elem: RingElement) -> None:
-    """Append the terms of sum(s * x^i for i, s in g) * elem to their slots.
-
-    (s x^i) (c x^k y^l) = s c x^{i+k} y^l: each term rotates both halves of
-    elem by i and scales them by s, with no twist.
-    """
-    m, fld = elem.ctx.m, elem.ctx.field
-    nonzero = _terms(elem.coeffs)
-    for i, s in g:
-        for k, c in nonzero:
-            slots[(k + i) % m + (k >= m) * m].append(f_mul(fld, s, c))
-
-
-def _times_rotations(g, elem: RingElement) -> RingElement:
-    """sum(s * x^i for i, s in g) * elem, by index shifts."""
-    slots = [[] for _ in range(elem.ctx.group_size)]
-    _add_rotations(slots, g, elem)
-    return _sum_terms(elem.ctx, slots)
-
-
-def _times_reflections(elem: RingElement, terms) -> RingElement:
-    """elem * sum(s * x^e y for e, s in terms), by index shifts.
+def _times_reflections(elem: RingElement, terms) -> tuple:
+    """The coefficients of elem * sum(s * x^e y for e, s in terms), by index shifts.
 
     (c x^k) (x^e y) = c x^{k+e} y and (c x^k y) (x^e y) = c tau^e x^{k-e}.
     """
@@ -177,7 +158,26 @@ def _times_reflections(elem: RingElement, terms) -> RingElement:
                 slots[(k + e) % m + m].append(f_mul(fld, c, s))
             else:
                 slots[(k - e) % m].append(f_mul(fld, c, refl_s))
-    return _sum_terms(ctx, slots)
+    return _sums(fld, slots)
+
+
+def _sandwich(elem: RingElement, pairs) -> RingElement:
+    """sum(g * elem * k for g, k in pairs), by index shifts and field scalings.
+
+    g = sum(s * x^i for i, s in g) lies in the rotation subring and
+    k = sum(s * x^e y for e, s in k) in the reflection half.  Each pair takes
+    elem * k from _times_reflections, then (s x^i) (c x^k y^l) = s c x^{i+k} y^l
+    rotates both halves by i and scales them by s, with no twist.
+    """
+    ctx = elem.ctx
+    m, fld = ctx.m, ctx.field
+    slots = [[] for _ in range(ctx.group_size)]
+    for g, k in pairs:
+        nonzero = _terms(_times_reflections(elem, k))
+        for i, s in g:
+            for idx, c in nonzero:
+                slots[(idx + i) % m + (idx >= m) * m].append(f_mul(fld, s, c))
+    return RingElement(ctx, _sums(fld, slots))
 
 
 # -- key recovery from public data only --------------------------------------
@@ -191,7 +191,7 @@ def _scaled(params: TwistedParams, count: int) -> list:
     ctx = params.ctx
     fld = ctx.field
     h_s = [
-        _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)]).coeffs
+        _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)])
         for j in range(ctx.m // 2 + 1)
     ]
     t_pows = powers(fld, fld.t, count)
@@ -377,11 +377,9 @@ def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingEl
     by_orbit = {}  # j -> [(i, c_ij)]
     for (i, j), c in coeffs.items():
         by_orbit.setdefault(j, []).append((i, c))
-    slots = [[] for _ in range(ctx.group_size)]
-    for j, g in by_orbit.items():
-        adjoint_sum = [(e, ctx.twist_inv_pows[e]) for e in orbit(ctx.m, j)]
-        _add_rotations(slots, g, _times_reflections(other_pk, adjoint_sum))
-    return _sum_terms(ctx, slots)
+    pows = ctx.twist_pows  # S_j^adj sums tau^{-e} x^e y over the orbit of j
+    pairs = [(g, [(e, pows[-e]) for e in orbit(ctx.m, j)]) for j, g in by_orbit.items()]
+    return _sandwich(other_pk, pairs)
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:

@@ -29,7 +29,6 @@ from .gf import (
     FieldCtx,
     element_from_index,
     f_add,
-    f_inv,
     f_mul,
     f_pow,
     f_sub,
@@ -59,19 +58,18 @@ def dihedral_inv(m: int, a: Tuple[int, int]) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class RingCtx:
-    """Field plus dihedral parameter plus the derived twist tables."""
+    """Field plus dihedral parameter plus the derived twist table."""
 
     field: FieldCtx
     m: int
     twist: tuple
-    twist_pows: tuple  # tau^0 .. tau^{m-1}
-    twist_inv_pows: tuple  # tau^0, tau^{-1}, .., tau^{-(m-1)}
+    twist_pows: tuple  # tau^0 .. tau^{m-1}; tau^m = 1, so tau^{-e} is twist_pows[-e]
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_M:
             raise ValueError(f"m must be in 1..{MAX_M}")
-        if len(self.twist_pows) != self.m or len(self.twist_inv_pows) != self.m:
-            raise ValueError("twist tables must have m entries")
+        if len(self.twist_pows) != self.m:
+            raise ValueError("twist table must have m entries")
 
     @property
     def group_size(self) -> int:
@@ -85,9 +83,7 @@ def make_ring_ctx(fld: FieldCtx, m: int) -> RingCtx:
     units = fld.order - 1
     d = math.gcd(m, units)
     tau = f_pow(fld, fld.t, units // d)
-    pows = powers(fld, tau, m)
-    inv_pows = powers(fld, f_inv(fld, tau), m)
-    return RingCtx(fld, m, tau, tuple(pows), tuple(inv_pows))
+    return RingCtx(fld, m, tau, tuple(powers(fld, tau, m)))
 
 
 def cocycle(ctx: RingCtx, g: Tuple[int, int], h: Tuple[int, int]) -> tuple:
@@ -103,19 +99,17 @@ def cocycle(ctx: RingCtx, g: Tuple[int, int], h: Tuple[int, int]) -> tuple:
 
 @dataclass(frozen=True)
 class RingElement:
-    """Dense coefficient vector over the group; index i + m*k holds x^i y^k."""
+    """Dense tuple of field-element tuples; index i + m*k holds x^i y^k."""
 
     ctx: RingCtx = field(repr=False)
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(tuple(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.ctx.group_size:
-            raise ValueError("coefficient count must be 2*m")
+        if type(self.coeffs) is not tuple or len(self.coeffs) != self.ctx.group_size:
+            raise ValueError("coefficients must be a tuple of 2*m field elements")
         n = self.ctx.field.n
-        if any(len(c) != n for c in coeffs):
-            raise ValueError("coefficients must be field elements of length n")
+        if any(type(c) is not tuple or len(c) != n for c in self.coeffs):
+            raise ValueError("coefficients must be field-element tuples of length n")
 
     @classmethod
     def zero(cls, ctx: RingCtx) -> "RingElement":
@@ -200,12 +194,12 @@ class RingElement:
         ctx = self.ctx
         m = ctx.m
         fld = ctx.field
-        inv_pows = ctx.twist_inv_pows
+        pows = ctx.twist_pows
         out = list(self.coeffs)
         for idx, c in enumerate(out):
             i = idx % m
             if i and c != fld.zero:
-                out[idx] = f_mul(fld, c, inv_pows[i])
+                out[idx] = f_mul(fld, c, pows[-i])
         return RingElement(ctx, tuple(out))
 
     def rotation_part(self) -> "RingElement":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside import twisted_kex, twisted_ring
+from twoside import gf, twisted_kex, twisted_ring
 from twoside.errors import AttackError
 from twoside.exchange import KeyPair
 from twoside.gf import gauss_solve, gauss_solve_full, gauss_solve_packed, lane_bits
@@ -277,9 +277,14 @@ def test_basis_products_match_dense_products(data):
 
 
 def draw_half(data, ctx, k):
-    """A sparse element with only its rotation (k = 0) or reflection (k = 1) half."""
+    """A sparse element with only its rotation half (k = 0), or only a
+    symmetric reflection half (k = 1): equal coefficients at x^e y and x^-e y."""
     elem = draw_element(data, ctx, "sparse")
-    return elem.rotation_part() if k == 0 else elem.reflection_part()
+    if k == 0:
+        return elem.rotation_part()
+    m = ctx.m
+    refl = elem.coeffs[m:]
+    return RingElement(ctx, (ctx.field.zero,) * m + tuple(refl[min(e, -e % m)] for e in range(m)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -308,11 +313,16 @@ def test_exchange_runs_without_ring_products(p, n, m, monkeypatch):
     params = random_params(p, n, m, rng)
 
     def fail(*args):
-        raise AssertionError("the exchange formed a generic ring product")
+        raise AssertionError("the exchange or attack left the product kernel")
 
     with monkeypatch.context() as patched:
         patched.setattr(RingElement, "__mul__", fail)
+        patched.setattr(RingElement, "adjoint", fail)
+        for module in (gf, twisted_ring):
+            patched.setattr(module, "f_inv", fail, raising=False)
         tr = run_exchange(params, rng)
+        public = transcript_from_json(transcript_to_json(tr))
+        assert attack(public.params, public.alice.pk, public.bob.pk) == tr.shared_key
     assert tr.keys_agree
     for own, other in ((tr.alice, tr.bob), (tr.bob, tr.alice)):
         assert own.pk == (own.left * params.h) * own.right
@@ -332,6 +342,14 @@ def test_exchange_rejects_secrets_outside_their_key_spaces():
         shared_key(KeyPair(reflection, reflection, pair.pk), params.h)
     with pytest.raises(ValueError, match="A2"):
         shared_key(KeyPair(rotation, rotation, pair.pk), params.h)
+    # x y alone at m = 4: x^3 y is missing, so the right secret is outside A2
+    asymmetric = RingElement.single(ctx, 1, 1)
+    with pytest.raises(ValueError, match="A2"):
+        keypair_from_secrets(params, rotation, asymmetric)
+    with pytest.raises(ValueError, match="A2"):
+        shared_key(KeyPair(rotation, asymmetric, pair.pk), params.h)
+    symmetric = asymmetric + RingElement.single(ctx, 3, 1)
+    assert keypair_from_secrets(params, rotation, symmetric).right == symmetric
     other_ctx = make_ring_ctx(make_test_field(3, 2), 5)
     with pytest.raises(ValueError, match="ring context mismatch"):
         shared_key(pair, RingElement.one(other_ctx))

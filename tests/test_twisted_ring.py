@@ -409,3 +409,13 @@ def test_ctx_mismatch_rejected():
         a + b
     with pytest.raises(ValueError):
         a * b
+
+
+def test_element_rejects_coefficients_that_are_not_tuples():
+    # coefficients are stored as given, so lists would break == and hash
+    ctx = ring(3, 2, 2)
+    one = RingElement.one(ctx)
+    assert RingElement(ctx, one.coeffs) == one
+    for coeffs in (list(one.coeffs), tuple(map(list, one.coeffs)), one.coeffs[1:]):
+        with pytest.raises(ValueError, match="coefficients must be"):
+            RingElement(ctx, coeffs)
