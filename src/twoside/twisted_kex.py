@@ -128,7 +128,7 @@ def run_exchange(params: TwistedParams, rng: Random) -> Transcript:
     return exchange.run_exchange(params, rng, keygen, shared_key)
 
 
-# -- products by index shifts --------------------------------------------------
+# -- products on packed lanes (twisted_ring.RingLanes) -------------------------
 
 
 def _terms(coeffs) -> list:
@@ -136,48 +136,41 @@ def _terms(coeffs) -> list:
     return [(e, c) for e, c in enumerate(coeffs) if any(c)]
 
 
-def _sums(fld, slots: list) -> tuple:
-    """The coefficients whose k-th is the sum of the field elements in slots[k]."""
-    p, zero = fld.p, fld.zero
-    return tuple(tuple(sum(c) % p for c in zip(*terms)) if terms else zero for terms in slots)
+def _times_k(ctx: RingCtx, rot: list, refl: list, k) -> list:
+    """The u-powers of the reduced halves of elem * sum(s * x^e y for e, s in k).
 
-
-def _times_reflections(elem: RingElement, terms) -> tuple:
-    """The coefficients of elem * sum(s * x^e y for e, s in terms), by index shifts.
-
-    (c x^k) (x^e y) = c x^{k+e} y and (c x^k y) (x^e y) = c tau^e x^{k-e}.
+    rot and refl are the u-powers of elem's halves.  (c x^j) (s x^e y) =
+    c s x^{j+e} y and (c x^j y) (s x^e y) = c s tau^e x^{j-e}: each term
+    scales and rotates both halves, and the sums are reduced once.
     """
-    ctx = elem.ctx
-    m, fld = ctx.m, ctx.field
-    slots = [[] for _ in range(ctx.group_size)]
-    nonzero = _terms(elem.coeffs)
-    for e, s in terms:
-        refl_s = f_mul(fld, s, ctx.twist_pows[e])
-        for k, c in nonzero:
-            if k < m:
-                slots[(k + e) % m + m].append(f_mul(fld, c, s))
-            else:
-                slots[(k - e) % m].append(f_mul(fld, c, refl_s))
-    return _sums(fld, slots)
+    lanes, fld, pows = ctx.lanes, ctx.field, ctx.twist_pows
+    y_rot = y_refl = 0
+    for e, s in k:
+        y_rot += lanes.rotate(lanes.scale(refl, f_mul(fld, s, pows[e])), -e)
+        y_refl += lanes.rotate(lanes.scale(rot, s), e)
+    return [lanes.u_powers(y) for y in lanes.pack(lanes.unpack(y_rot, y_refl))]
 
 
 def _sandwich(elem: RingElement, pairs) -> RingElement:
-    """sum(g * elem * k for g, k in pairs), by index shifts and field scalings.
+    """sum(g * elem * k for g, k in pairs), on packed lanes.
 
     g = sum(s * x^i for i, s in g) lies in the rotation subring and
-    k = sum(s * x^e y for e, s in k) in the reflection half.  Each pair takes
-    elem * k from _times_reflections, then (s x^i) (c x^k y^l) = s c x^{i+k} y^l
-    rotates both halves by i and scales them by s, with no twist.
+    k = sum(s * x^e y for e, s in k) in the reflection half; at most
+    m//2 + 1 pairs, which the lane width allows for.  Each pair takes
+    elem * k from _times_k, then (s x^i) (c x^j y^l) = s c x^{i+j} y^l
+    rotates both halves by i and scales them by s, with no twist.  Lanes are
+    reduced after each reflection pass and once at the end.
     """
     ctx = elem.ctx
-    m, fld = ctx.m, ctx.field
-    slots = [[] for _ in range(ctx.group_size)]
+    lanes = ctx.lanes
+    rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(elem)))
+    out_rot = out_refl = 0
     for g, k in pairs:
-        nonzero = _terms(_times_reflections(elem, k))
+        y_rot, y_refl = _times_k(ctx, rot, refl, k)
         for i, s in g:
-            for idx, c in nonzero:
-                slots[(idx + i) % m + (idx >= m) * m].append(f_mul(fld, s, c))
-    return RingElement(ctx, _sums(fld, slots))
+            out_rot += lanes.rotate(lanes.scale(y_rot, s), i)
+            out_refl += lanes.rotate(lanes.scale(y_refl, s), i)
+    return RingElement(ctx, tuple(zip(*[iter(lanes.unpack(out_rot, out_refl))] * ctx.field.n)))
 
 
 # -- key recovery from public data only --------------------------------------
@@ -189,13 +182,16 @@ def _scaled(params: TwistedParams, count: int) -> list:
     The w elements h * S_j are built once and scaled once per t^s.
     """
     ctx = params.ctx
-    fld = ctx.field
+    fld, lanes = ctx.field, ctx.lanes
+    rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(params.h)))
     h_s = [
-        _times_reflections(params.h, [(e, fld.one) for e in orbit(ctx.m, j)])
+        _times_k(ctx, rot, refl, [(e, fld.one) for e in orbit(ctx.m, j)])
         for j in range(ctx.m // 2 + 1)
     ]
-    t_pows = powers(fld, fld.t, count)
-    return [[tuple(v for c in hs for v in f_mul(fld, tp, c)) for hs in h_s] for tp in t_pows]
+    return [
+        [lanes.unpack(lanes.scale(y_rot, tp), lanes.scale(y_refl, tp)) for y_rot, y_refl in h_s]
+        for tp in powers(fld, fld.t, count)
+    ]
 
 
 def _columns(params: TwistedParams, count: int) -> list:

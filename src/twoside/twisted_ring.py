@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from random import Random
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .gf import (
     FieldCtx,
@@ -34,7 +35,9 @@ from .gf import (
     f_sub,
     field_from_json,
     field_to_json,
+    pack,
     powers,
+    unpack,
 )
 
 MAX_M = 64  # dense coefficient storage; enough for every desk-scale group here
@@ -56,14 +59,80 @@ def dihedral_inv(m: int, a: Tuple[int, int]) -> Tuple[int, int]:
     return a if k else ((-i) % m, 0)
 
 
+class RingLanes(NamedTuple):
+    """A ring element as two ints of F_p lanes: its rotation and reflection halves.
+
+    Lane k * n + r of a half, bits wide, holds coordinate r of slot k.  Lanes
+    may hold unreduced values: bits is the first of 16, 32 and 64 that holds
+    w * m * (p - 1) * (q - 1), w = m // 2 + 1 and q = p^n, which bounds the
+    sums of scaled, rotated halves that twisted_kex forms between reductions.
+    Under MAX_PRIME, MAX_ORDER and MAX_M that bound is below 2^47.
+    """
+
+    p: int
+    n: int
+    m: int
+    bits: int
+    low: int  # lanes r < n - 1 of every slot
+    top: int  # lane n - 1 of every slot
+    neg: int  # -modulus in lanes 0 .. n-1: u^n = sum(neg_r u^r)
+    full: int  # all m * n lanes of a half
+
+    def pack(self, flat) -> Tuple[int, int]:
+        """The halves of the element with flatten(elem) == flat, each value below p."""
+        x = pack(flat, self.bits)
+        return x & self.full, x >> self.m * self.n * self.bits
+
+    def unpack(self, rot: int, refl: int) -> tuple:
+        """flatten of the element with these halves, reduced mod p."""
+        p, half = self.p, self.m * self.n
+        return tuple([v % p for v in unpack(rot | refl << half * self.bits, 2 * half, self.bits)])
+
+    def u_powers(self, y: int) -> list:
+        """y, u y, .., u^{n-1} y for a half y with reduced lanes, u the field's variable.
+
+        u shifts every slot up one lane and adds its top lane times -modulus,
+        unreduced: lane values of u^d y stay at most p^d (p - 1).
+        """
+        out = [y]
+        down = self.bits * (self.n - 1)
+        for _ in range(self.n - 1):
+            y = ((y & self.low) << self.bits) + ((y & self.top) >> down) * self.neg
+            out.append(y)
+        return out
+
+    def scale(self, ys: list, s) -> int:
+        """s * y for ys = u_powers(y): n multiply-adds, lanes at most (p - 1)(q - 1)."""
+        return sum(map(mul, s, ys))
+
+    def rotate(self, y: int, i: int) -> int:
+        """x^i * y for a half y: slot k moves to slot k + i mod m."""
+        step = self.n * self.bits
+        shift = i % self.m * step
+        return ((y << shift) & self.full) | (y >> self.m * step - shift)
+
+
+def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
+    """The lane layout of the halves of the ring over fld with dihedral m."""
+    p, n = fld.p, fld.n
+    need = (m // 2 + 1) * m * (p - 1) * (fld.order - 1)
+    bits = next(b for b in (16, 32, 64) if need < 1 << b)
+    slots = sum(1 << k * n * bits for k in range(m))  # bit 0 of every slot
+    low = slots * ((1 << (n - 1) * bits) - 1)
+    top = slots * ((1 << bits) - 1) << (n - 1) * bits
+    neg = pack([-c % p for c in fld.modulus[:n]], bits)
+    return RingLanes(p, n, m, bits, low, top, neg, (1 << m * n * bits) - 1)
+
+
 @dataclass(frozen=True)
 class RingCtx:
-    """Field plus dihedral parameter plus the derived twist table."""
+    """Field plus dihedral parameter plus the derived twist table and lane layout."""
 
     field: FieldCtx
     m: int
     twist: tuple
     twist_pows: tuple  # tau^0 .. tau^{m-1}; tau^m = 1, so tau^{-e} is twist_pows[-e]
+    lanes: RingLanes = field(compare=False, repr=False)  # follows from field and m
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_M:
@@ -83,7 +152,7 @@ def make_ring_ctx(fld: FieldCtx, m: int) -> RingCtx:
     units = fld.order - 1
     d = math.gcd(m, units)
     tau = f_pow(fld, fld.t, units // d)
-    return RingCtx(fld, m, tau, tuple(powers(fld, tau, m)))
+    return RingCtx(fld, m, tau, tuple(powers(fld, tau, m)), _ring_lanes(fld, m))
 
 
 def cocycle(ctx: RingCtx, g: Tuple[int, int], h: Tuple[int, int]) -> tuple:

@@ -329,6 +329,41 @@ def test_exchange_runs_without_ring_products(p, n, m, monkeypatch):
         assert shared_key(own, other.pk) == (own.left * other.pk) * own.right.adjoint()
 
 
+@pytest.mark.parametrize(
+    "p,n,m", [(65521, 1, 64), (31, 4, 64), (1021, 2, 64), (2, 8, 64), (5, 8, 4), (2, 1, 1), (3, 1, 2)]
+)
+def test_products_at_the_lane_bound(p, n, m):
+    # every coefficient p - 1, in the widest lanes: h, both secrets and every c_ij
+    ctx = make_ring_ctx(make_test_field(p, n), m)
+    w = m // 2 + 1
+    assert w * m * (p - 1) * (p**n - 1) < 1 << ctx.lanes.bits
+    top, zero = (p - 1,) * n, (ctx.field.zero,) * m
+    left, right = RingElement(ctx, (top,) * m + zero), RingElement(ctx, zero + (top,) * m)
+    params = TwistedParams(ctx, RingElement(ctx, (top,) * (2 * m)))
+    pair = keypair_from_secrets(params, left, right)
+    assert pair.pk == (left * params.h) * right
+    assert shared_key(pair, params.h) == (left * params.h) * right.adjoint()
+    # the orbits partition the exponents, so the key is (c sum_i x^i) * pk * sum_j S_j^adj
+    coeffs = {(i, j): top for i in range(m) for j in range(w)}
+    orbit_sum = RingElement(ctx, zero + (ctx.field.one,) * m)
+    assert replay(params, coeffs, pair.pk) == (left * pair.pk) * orbit_sum.adjoint()
+
+
+def test_products_scale_once_per_term_not_per_coefficient(monkeypatch):
+    # f_mul forms only the scalars s * tau^(+-e) of the secret and orbit terms:
+    # at most 2m per product sum, where one per coefficient would be thousands
+    calls = []
+    monkeypatch.setattr(twisted_kex, "f_mul", lambda *args: calls.append(args) or gf.f_mul(*args))
+    params = fixed_params(2, 4, 16)
+    m = params.ctx.m
+    tr = run_exchange(params, Random(3))
+    assert tr.keys_agree
+    assert 0 < len(calls) <= 4 * 2 * m  # two key pairs and two shared keys
+    calls.clear()
+    assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
+    assert 0 < len(calls) <= 2 * 2 * m  # the build and the replay
+
+
 def test_exchange_rejects_secrets_outside_their_key_spaces():
     params = fixed_params(3, 2, 4)
     ctx = params.ctx
@@ -483,7 +518,7 @@ def test_attack_system_size_cap(monkeypatch):
         raise AssertionError("attack system built for an over-cap system")
 
     monkeypatch.setattr(twisted_kex, "basis_products", fail)
-    monkeypatch.setattr(twisted_kex, "_times_reflections", fail)
+    monkeypatch.setattr(twisted_kex, "_scaled", fail)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="135168 unknowns x 1024 equations"):
