@@ -250,8 +250,9 @@ def cmd_attack(parser: argparse.ArgumentParser, args) -> int:
     try:
         with open(args.transcript) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: JSON nested deeper than the interpreter's stack
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an int over the
+        # digit limit; RecursionError: JSON nested deeper than the stack
         parser.error(f"cannot read transcript: {exc}")
     if not isinstance(obj, dict):
         parser.error("malformed transcript: the top level must be a JSON object")

@@ -72,19 +72,6 @@ def w_max_component(h, y):
     return INF if w_leq(h, y) else y
 
 
-def parse_value(text: str):
-    """Parse a decimal literal or the token "inf"."""
-    s = text.strip()
-    if s.lower() == "inf":
-        return INF
-    if not s.isdigit():
-        raise ValueError(f"not a semiring value: {text!r}")
-    v = int(s)
-    if v > MAX_FINITE:
-        raise ValueError(f"value exceeds the 64-bit cap: {text!r}")
-    return v
-
-
 def value_to_json(v):
     """JSON form: plain number, or the string "inf" for the top element."""
     return "inf" if v == INF else v

@@ -220,7 +220,7 @@ class FieldCtx:
             raise ValueError("t must generate the multiplicative group")
         object.__setattr__(self, "_zero", (0,) * n)
         object.__setattr__(self, "_one", (1,) + (0,) * (n - 1))
-        # f_mul and f_inv are cached on the context: hash the fields once
+        # f_mul is cached on the context: hash the fields once
         object.__setattr__(self, "_hash", hash((p, n, self.modulus, self.t)))
 
     def __hash__(self) -> int:
@@ -271,22 +271,14 @@ def f_add(ctx: FieldCtx, a, b) -> tuple:
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def f_neg(ctx: FieldCtx, a) -> tuple:
-    p = ctx.p
-    return tuple((-x) % p for x in a)
-
-
 def f_sub(ctx: FieldCtx, a, b) -> tuple:
     p = ctx.p
     return tuple((x - y) % p for x, y in zip(a, b))
 
 
-# Bounded so long campaigns over many fresh fields do not grow them without
+# Bounded so long campaigns over many fresh fields do not grow it without
 # limit; one attack at the size cap touches far fewer distinct products.
-_FIELD_CACHE_SIZE = 1 << 16
-
-
-@lru_cache(maxsize=_FIELD_CACHE_SIZE)
+@lru_cache(maxsize=1 << 16)
 def f_mul(ctx: FieldCtx, a, b) -> tuple:
     p, n = ctx.p, ctx.n
     if n == 1:
@@ -294,7 +286,6 @@ def f_mul(ctx: FieldCtx, a, b) -> tuple:
     return _pad_to(_pmod(_pmul(a, b, p), ctx.modulus, p), n)
 
 
-@lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def f_inv(ctx: FieldCtx, a) -> tuple:
     if not any(a):
         raise ZeroDivisionError("inverse of zero in the field")
@@ -328,13 +319,6 @@ def element_from_index(ctx: FieldCtx, idx: int) -> tuple:
         out.append(idx % ctx.p)
         idx //= ctx.p
     return tuple(out)
-
-
-def element_to_index(ctx: FieldCtx, a) -> int:
-    idx = 0
-    for c in reversed(a):
-        idx = idx * ctx.p + c
-    return idx
 
 
 def field_to_json(ctx: FieldCtx) -> dict:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,6 @@ class Semiring:
     zero: Any
     one: Any
     leq: Optional[Callable[[Any, Any], bool]] = None
-
-    def sum(self, items: Iterable[Any]) -> Any:
-        acc = self.zero
-        for item in items:
-            acc = self.add(acc, item)
-        return acc
 
     def __repr__(self) -> str:
         return f"Semiring({self.name!r})"

@@ -170,16 +170,17 @@ def _sandwich(elem: RingElement, pairs) -> RingElement:
         for i, s in g:
             out_rot += lanes.rotate(lanes.scale(y_rot, s), i)
             out_refl += lanes.rotate(lanes.scale(y_refl, s), i)
-    return RingElement(ctx, tuple(zip(*[iter(lanes.unpack(out_rot, out_refl))] * ctx.field.n)))
+    return unflatten(ctx, lanes.unpack(out_rot, out_refl))
 
 
 # -- key recovery from public data only --------------------------------------
 
 
 def _scaled(params: TwistedParams, count: int) -> list:
-    """flatten(t^s * h * S_j) at [s][j], for s < count and j < w = m//2 + 1.
+    """The packed halves of t^s * h * S_j at [s][j], for s < count and j < w = m//2 + 1.
 
-    The w elements h * S_j are built once and scaled once per t^s.
+    The w elements h * S_j are built once and scaled once per t^s; the lanes
+    are left unreduced for RingLanes.unpack.
     """
     ctx = params.ctx
     fld, lanes = ctx.field, ctx.lanes
@@ -189,25 +190,9 @@ def _scaled(params: TwistedParams, count: int) -> list:
         for j in range(ctx.m // 2 + 1)
     ]
     return [
-        [lanes.unpack(lanes.scale(y_rot, tp), lanes.scale(y_refl, tp)) for y_rot, y_refl in h_s]
+        [(lanes.scale(y_rot, tp), lanes.scale(y_refl, tp)) for y_rot, y_refl in h_s]
         for tp in powers(fld, fld.t, count)
     ]
-
-
-def _columns(params: TwistedParams, count: int) -> list:
-    """flatten(t^s * rot_i(h * S_j)) at index (s * m + i) * w + j, for s < count.
-
-    x^i * e rotates both halves of e, (k, l) -> ((k + i) mod m, l), with no
-    twist: on the flattened vector each half rotates by i * n entries.
-    """
-    n = params.ctx.field.n
-    half = params.ctx.m * n
-    columns = []
-    for vecs in _scaled(params, count):
-        halves = [(vec[:half], vec[half:]) for vec in vecs]
-        for cut in range(half, 0, -n):  # cut = half - i * n for i = 0 .. m-1
-            columns.extend(rot[cut:] + rot[:cut] + refl[cut:] + refl[:cut] for rot, refl in halves)
-    return columns
 
 
 def _fold(terms, fld) -> dict:
@@ -245,14 +230,21 @@ def basis_products(params: TwistedParams) -> Tuple[tuple, tuple, list]:
 
     L = t^a x^i (a outer, i inner) and R = t^b S_j (b outer, j inner), with
     S_j the j-th symmetric orbit sum.  Field scalars are central and x^i
-    acts by an index rotation, so L * h * R = t^{a+b} * rot_i(h * S_j): each
+    acts by a lane rotation, so L * h * R = t^{a+b} * rot_i(h * S_j): each
     product is a rotated, t-power-scaled copy of one of the m//2 + 1
     elements h * S_j, and equal products share one object.
     """
     ctx = params.ctx
+    lanes = ctx.lanes
     n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
-    # t^0 .. t^{2n-2}: the scalars t^a * t^b of a left times a right basis element
-    elems = [unflatten(ctx, col) for col in _columns(params, 2 * n - 1)]
+    # t^s * rot_i(h * S_j) at (s * m + i) * w + j, for the scalars t^0 .. t^{2n-2}
+    # of a left times a right basis element
+    elems = [
+        unflatten(ctx, lanes.unpack(lanes.rotate(rot, i), lanes.rotate(refl, i)))
+        for halves in _scaled(params, 2 * n - 1)
+        for i in range(m)
+        for rot, refl in halves
+    ]
     products = [
         elems[((a + b) * m + i) * w + j]
         for a in range(n)
@@ -329,7 +321,8 @@ def system_rows(params: TwistedParams) -> PackedRows:
     step = w * bits  # one rotation: lane (a, i, j) -> (a, i + 1, j)
     first = sum(((1 << step) - 1) << a * m * step for a in range(n))  # the lanes i = 0
     rest = ((1 << n * m * step) - 1) ^ first
-    scaled = _scaled(params, n)
+    lanes = ctx.lanes
+    scaled = [[lanes.unpack(rot, refl) for rot, refl in halves] for halves in _scaled(params, n)]
     rows = [0] * (2 * m * n)
     for l in range(2):
         for r in range(n):

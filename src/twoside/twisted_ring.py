@@ -134,12 +134,6 @@ class RingCtx:
     twist_pows: tuple  # tau^0 .. tau^{m-1}; tau^m = 1, so tau^{-e} is twist_pows[-e]
     lanes: RingLanes = field(compare=False, repr=False)  # follows from field and m
 
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_M:
-            raise ValueError(f"m must be in 1..{MAX_M}")
-        if len(self.twist_pows) != self.m:
-            raise ValueError("twist table must have m entries")
-
     @property
     def group_size(self) -> int:
         return 2 * self.m
@@ -394,12 +388,10 @@ def flatten(elem: RingElement) -> tuple:
 
 
 def unflatten(ctx: RingCtx, vec) -> RingElement:
-    n = ctx.field.n
-    vec = tuple(vec)
-    if len(vec) != ctx.group_size * n:
+    """The element whose flatten is vec: consecutive runs of n coordinates."""
+    if len(vec) != ctx.group_size * ctx.field.n:
         raise ValueError("coordinate vector has the wrong length")
-    coeffs = tuple(vec[i * n : (i + 1) * n] for i in range(ctx.group_size))
-    return RingElement(ctx, coeffs)
+    return RingElement(ctx, tuple(zip(*[iter(vec)] * ctx.field.n)))
 
 
 def ring_ctx_to_json(ctx: RingCtx) -> dict:

@@ -124,13 +124,6 @@ class _BoolSemiring:
     def leq(a, b):
         return (a or b) == b
 
-    @staticmethod
-    def sum(items):
-        acc = False
-        for item in items:
-            acc = acc or item
-        return acc
-
 
 BOOL_OR_AND = _BoolSemiring()
 

@@ -10,6 +10,7 @@ from random import Random
 
 from twoside.digital import INF, W, w_add, w_leq, w_mul, w_max_component
 from twoside.digital_kex import (
+    attack,
     attack_columns,
     random_params,
     recover_shared_key,
@@ -18,6 +19,7 @@ from twoside.digital_kex import (
 from twoside.gf import gauss_solve, gauss_solve_full, make_field_ctx
 from twoside.matrices import Circulant
 from twoside.solver import LinearSystem, maximal_solution
+from twoside.twisted_kex import attack as twisted_attack
 from twoside.twisted_kex import attack_system
 from twoside.twisted_kex import random_params as twisted_random_params
 from twoside.twisted_kex import recover_shared_key as twisted_recover
@@ -76,11 +78,17 @@ def test_criterion_1_digital_attack_success_rate(capsys):
                 elapsed = time.perf_counter() - start
                 assert recovered == tr.shared_key, (n, trial)
                 assert elapsed < 1.0, (n, trial, elapsed)
+                # the same instance through the timed attack
+                start = time.perf_counter()
+                recovered = attack(params, tr.alice.pk, tr.bob.pk)
+                elapsed = time.perf_counter() - start
+                assert recovered == tr.shared_key, (n, trial)
+                assert elapsed < 1.0, (n, trial, elapsed)
 
     run_criterion(
         capsys, 1,
         "digital attack recovers the key in 100/100 instances for each "
-        "n in {2,3,4,6,8}, under 1 s each",
+        "n in {2,3,4,6,8}, under 1 s each, on the reference and the timed solve",
         body,
     )
 
@@ -107,11 +115,17 @@ def test_criterion_2_twisted_attack_success_rate(capsys):
                 elapsed = time.perf_counter() - start
                 assert recovered == tr.shared_key, (p, n, m, trial)
                 assert elapsed < 1.0, (p, n, m, trial, elapsed)
+                # the same instance through the timed attack
+                start = time.perf_counter()
+                recovered = twisted_attack(params, tr.alice.pk, tr.bob.pk)
+                elapsed = time.perf_counter() - start
+                assert recovered == tr.shared_key, (p, n, m, trial)
+                assert elapsed < 1.0, (p, n, m, trial, elapsed)
 
     run_criterion(
         capsys, 2,
         "twisted attack recovers the key in 100/100 instances for each "
-        "(p,n,m) grid point, under 1 s each",
+        "(p,n,m) grid point, under 1 s each, on the reference and the timed solve",
         body,
     )
 

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through subprocesses: exit codes, files, formats."""
 
 import csv
+import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -286,6 +288,25 @@ def test_attack_rejects_deeply_nested_transcript(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_attack_rejects_transcript_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"scheme": "digital", "note": "\xff\xfe"}')
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "cannot read transcript" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_attack_rejects_int_literal_over_the_digit_limit(tmp_path):
+    # Python versions without the 4300-digit limit parse it and reject the
+    # transcript as malformed, which also exits 2
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"scheme": "digital", "seed": ' + "9" * 5000 + "}")
+    res = run_cli("attack", str(bad), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("value", [1.0, 0.5])
 def test_attack_rejects_twisted_float_coefficients(tmp_path, value):
     out = tmp_path / "t.json"
@@ -484,6 +505,34 @@ def test_attack_dump_system_twisted_is_paper_system(tmp_path, monkeypatch, capsy
         "columns": [[row[c] for row in rows] for c in range(len(rows[0]))],
         "target": list(target),
     }
+
+
+# SHA-256 of the --dump-system file of `exchange <flags> --seed 1`, recorded
+# before basis_products built its products by lane rotation
+DUMP_DIGESTS = [
+    (["--scheme", "twisted", "--p", "2", "--fext", "4", "--m", "6"],
+     "a6db92a9d348070ba559d9ad9badffaa325cf706a661b93757fb9f78b26bc804"),
+    (["--scheme", "twisted", "--p", "3", "--fext", "2", "--m", "4"],
+     "819cbab151cc1c36d7b9f628c8be6971c0cbb73f7bbea6b7ca3b115d94c51b46"),
+    (["--scheme", "twisted", "--p", "5", "--fext", "1", "--m", "6"],
+     "7181252c1dcb6cf9ca7641d92f4bb98adb7e2f3eddb36a65ddc1fdb59b41912c"),
+    (["--scheme", "digital", "--n", "4"],
+     "694294de8e2fe6bfe95f339cd65a9ea7be7607206879019037dbb561ff746d83"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,digest", DUMP_DIGESTS, ids=["twisted-2-4-6", "twisted-3-2-4", "twisted-5-1-6", "digital-4"]
+)
+def test_attack_dump_system_bytes_are_pinned(tmp_path, monkeypatch, capsys, flags, digest):
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli
+
+    out, dump = tmp_path / "t.json", tmp_path / "system.json"
+    assert cli.main(["exchange", *flags, "--seed", "1", "--out", str(out)]) == 0
+    assert cli.main(["attack", str(out), "--dump-system", str(dump)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
 # -- bench ----------------------------------------------------------------------
@@ -743,3 +792,63 @@ def test_entry_bound_at_the_largest_finite_value_is_accepted(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert read_json(tmp_path / "t.json")["params"]["entry_bound"] == 2**64 - 1
+
+
+# -- the timed paths and the reference algebra --------------------------------------
+
+
+def test_commands_never_reach_a_reference_path(tmp_path, monkeypatch, capsys):
+    # every command a user times runs the fast paths; the paper-shaped
+    # products, the list elimination and the generic solver are oracles that
+    # only tests and --dump-system (left out here: it builds the paper's
+    # system on purpose) call
+    monkeypatch.syspath_prepend(str(SRC))
+    from twoside import cli, digital_kex, gf, matrices, solver, twisted_kex, twisted_ring
+
+    ring, mat = twisted_ring.RingElement, matrices.SemiringMatrix
+    oracles = [
+        ring.__mul__, ring.__add__, ring.__sub__, ring.scale, ring.adjoint,
+        twisted_ring.cocycle, twisted_ring.dihedral_mul, twisted_ring.basis_r1,
+        twisted_ring.basis_a2, twisted_kex.basis_products, twisted_kex.attack_system,
+        twisted_kex.recover_shared_key,
+        gf._row_reduce, gf.gauss_solve_full, gf.gauss_solve,
+        digital_kex.attack_columns, digital_kex.recover_shared_key,
+        mat.__matmul__, mat.__add__, mat.scale, matrices.Circulant.expand,
+        matrices.circulant_generators, matrices.flatten_two_sided,
+    ]
+    for space in (vars(solver), vars(solver.LinearSystem)):
+        oracles += [
+            f for f in (getattr(v, "fget", v) for v in space.values())
+            if inspect.isfunction(f) and f.__module__ == solver.__name__
+        ]
+    # code objects, not names: co_qualname is missing before Python 3.11
+    names = {f.__code__: f.__qualname__ for f in oracles}
+
+    digital, twisted = tmp_path / "d.json", tmp_path / "t.json"
+    commands = [
+        ["exchange", "--n", "4", "--seed", "1", "--insecure-dump", "--out", str(digital)],
+        ["exchange", "--scheme", "twisted", "--p", "3", "--fext", "2", "--m", "4", "--seed", "1",
+         "--insecure-dump", "--out", str(twisted)],
+        ["attack", str(digital)],
+        ["attack", str(twisted)],
+        ["bench", "--n", "3", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "d.csv")],
+        ["bench", "--scheme", "twisted", "--p", "2", "--fext", "2", "--m", "3", "--trials", "2",
+         "--seed", "1", "--out", str(tmp_path / "t.csv")],
+        ["selftest", "--seed", "1"],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    for argv in commands:
+        sys.setprofile(profile)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, argv
+    capsys.readouterr()
+    assert cli.cmd_attack.__code__ in called  # the profile saw the commands run
+    assert sorted(names[c] for c in called & names.keys()) == []

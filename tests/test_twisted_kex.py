@@ -497,7 +497,12 @@ def test_packed_system_rows_match_transposed_columns(data):
     ctx = params.ctx
     system = system_rows(params)
     rows = unpacked_rows(system)
-    assert rows == list(zip(*twisted_kex._columns(params, ctx.field.n)))
+    # the b = 0 products t^a * rot_i(h * S_j): the first w of each (a, i) block of n * w
+    products = basis_products(params)[2]
+    w = ctx.m // 2 + 1
+    block = ctx.field.n * w
+    columns = [flatten(prod) for k in range(0, len(products), block) for prod in products[k : k + w]]
+    assert rows == list(zip(*columns))
     # the packed solve returns exactly the list elimination's solution
     target = flatten(draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse"]))))
     full = gauss_solve_full(rows, target, ctx.field.p)
