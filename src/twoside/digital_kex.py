@@ -128,7 +128,8 @@ def run_exchange(params: DigitalParams, rng: Random) -> Transcript:
 # and m - (m >> 15) widens those guard bits to a value mask (after Lamport,
 # "Multiple byte processing with full-word instructions", CACM 1975).  Every
 # shifted copy of a matrix, and every compare, min and max over all n^2
-# entries, is then a few int operations.
+# entries, is then a few int operations.  solve works on one bit per entry
+# instead: a set of copies is one n^2-bit int, moved by the same rotation.
 
 def _lane_constants(n: int) -> Tuple[int, int]:
     """ONES (1 in each of the n*n lanes) and GUARD (bit 15 of each lane)."""
@@ -136,31 +137,39 @@ def _lane_constants(n: int) -> Tuple[int, int]:
     return ones, ones << 15
 
 
-def _rows_down(x: int, n: int) -> list:
-    """For i = 0 .. n-1, the packed n x n matrix x rotated down by i rows."""
-    bits = 16 * n * n
-    full = (1 << bits) - 1
-    return [((x << s) & full) | (x >> (bits - s)) for s in range(0, bits, 16 * n)]
+def _mover(n: int, bits: int):
+    """move(x, r, c): the n x n grid x, entry (i, j) in lane i*n + j of
+    `bits` bits, with entry (i, j) taken from x[i - r][j + c], indices mod n.
 
+    That is x with every row rotated left by c, then rotated down by r rows.
+    The 16-bit rank lanes of the exchange and the replay, and solve's 1-bit
+    masks, share it.
+    """
+    size = bits * n * n
+    full = (1 << size) - 1
+    row_ones = full // ((1 << bits * n) - 1)  # the lowest lane of every row
+    lo = [row_ones * ((1 << bits * (n - c)) - 1) for c in range(n)]  # columns j < n - c
 
-def _rows_left(x: int, n: int) -> list:
-    """For j = 0 .. n-1, every row of the packed n x n matrix x rotated left by j."""
-    full = (1 << 16 * n * n) - 1
-    row_ones = full // ((1 << 16 * n) - 1)  # the lowest lane of every row
-    out = []
-    for j in range(n):
-        lo = row_ones * ((1 << 16 * (n - j)) - 1)  # columns c < n - j
-        out.append(((x >> 16 * j) & lo) | ((x << 16 * (n - j)) & (full ^ lo)))
-    return out
+    def move(x: int, r: int, c: int) -> int:
+        if c:
+            x = ((x >> bits * c) & lo[c]) | ((x << bits * (n - c)) & (full ^ lo[c]))
+        if r:
+            s = bits * n * r
+            x = ((x << s) & full) | (x >> (size - s))
+        return x
+
+    return move
 
 
 def _shifted_copies(x: int, n: int) -> list:
     """Packed copies of x with entry (r, c) taken from x[r - i][c + j].
 
-    One copy per (i, j), row-major in (i, j), indices mod n.
+    One copy per (i, j), row-major in (i, j), indices mod n.  Each row-left
+    rotation is made once and rotated down n times.
     """
-    by_j = [_rows_down(base, n) for base in _rows_left(x, n)]
-    return [down[i] for i in range(n) for down in by_j]
+    move = _mover(n, 16)
+    by_j = [move(x, 0, j) for j in range(n)]
+    return [move(by_j[j], i, 0) for i in range(n) for j in range(n)]
 
 
 def _max_min(zs, copies, n: int) -> int:
@@ -237,8 +246,9 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
     flat = x.flat()
     values, rank = _chain(left.col, right.col, flat)
     packed = pack([rank[v] for v in flat], 16)
-    y = _max_min([rank[v] for v in left.col], _rows_down(packed, n), n)
-    acc = _max_min([rank[v] for v in right.col], _rows_left(y, n), n)
+    move = _mover(n, 16)
+    y = _max_min([rank[v] for v in left.col], [move(packed, i, 0) for i in range(n)], n)
+    acc = _max_min([rank[v] for v in right.col], [move(y, 0, j) for j in range(n)], n)
     return _matrix(acc, values, n)
 
 
@@ -246,39 +256,73 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
     """The maximal solution of the attack system for target_pk, or None.
 
     Returns what solver.maximal_solution(LinearSystem(attack_columns(params)[0],
-    target_pk.flat()), W, w_max_component) returns, computed on packed
+    target_pk.flat()), W, w_max_component) returns, computed on W's chain
     ranks: the largest z_k with z_k * H_k <= Y is min{ y_l : H_k[l] > y_l },
     or INF when no component constrains it, and the candidate solves the
     system exactly when any combination does.
 
-    The candidate is verified in the same loop.  Each min(z_k, H_k[l]) is at
-    most y_l: where H_k[l] > y_l, z_k <= y_l by the choice of z_k.  So the
-    max over k equals y_l, which is what _max_min(zs, columns) == Y tests,
-    iff some k has min(z_k, H_k[l]) >= y_l, that is H_k[l] >= y_l and
-    z_k >= y_l.  `cover` collects, in each lane's guard bit, whether some k
-    so far does; the candidate solves the system iff every lane is covered.
+    Both steps sweep the target's positions in rank order, on masks that
+    hold one bit per copy (i, j).  With M'[a][b] = M[-a][b], H_(i,j)[(r, c)]
+    is M'[i - r][j + c], so the copies that H_k[l] > y_l singles out at
+    l = (r, c) are the mask "M' > y_l" moved by (r, c).  In ascending y_l,
+    each copy takes the first y_l whose mask holds it.  Then each
+    min(z_k, H_k[l]) is at most y_l, so the candidate hits Y iff every lane
+    l has some k with H_k[l] >= y_l and z_k >= y_l; in descending y_l that
+    is the moved "M' >= y_l" meeting the mask of copies with z_k >= y_l.
     Raises ValueError when target_pk is not n x n.
     """
     n = params.n
     _require_size(n, target_pk.n, "matrix")
-    target = target_pk.flat()
     size = n * n
+    target = target_pk.flat()
     matrix = params.matrix.flat()
     values, rank = _chain(target, matrix)
-    ones, guard = _lane_constants(n)
-    ys = pack([rank[v] for v in target], 16)
-    ys_g = ys | guard
-    tops = (len(values) - 1) * ones
-    zs = []
-    cover = 0
-    for h in _shifted_copies(pack([rank[v] for v in matrix], 16), n):
-        m = ((ys_g - h) & guard) ^ guard  # h > y
-        z = min(unpack(tops ^ ((tops ^ ys) & (m - (m >> 15))), size, 16))
-        zs.append(z)
-        cover |= ((h | guard) - ys) & ((z * ones | guard) - ys)
-    if cover & guard != guard:
-        return None
-    return tuple(values[z] for z in zs)
+    ys = [rank[v] for v in target]
+    ms = [rank[matrix[-a % n * n + b]] for a in range(n) for b in range(n)]  # M'
+    by_y = sorted(range(size), key=ys.__getitem__)
+    by_m = sorted(range(size), key=ms.__getitem__)
+    move = _mover(n, 1)
+
+    gt = free = (1 << size) - 1  # "M' > y" and the copies with no z yet
+    steps = []  # (y, the copies whose z is y), y ascending
+    p = 0
+    for l in by_y:
+        y = ys[l]
+        while p < size and ms[by_m[p]] <= y:
+            gt ^= 1 << by_m[p]
+            p += 1
+        if not gt:
+            break
+        r, c = divmod(l, n)
+        hit = move(gt, r, c) & free
+        if hit:
+            steps.append((y, hit))
+            free ^= hit
+            if not free:
+                break
+
+    ge, zge = 0, free  # "M' >= y" and the copies with z >= y
+    p, q = size, len(steps)
+    for l in reversed(by_y):
+        y = ys[l]
+        while p and ms[by_m[p - 1]] >= y:
+            p -= 1
+            ge |= 1 << by_m[p]
+        while q and steps[q - 1][0] >= y:
+            q -= 1
+            zge |= steps[q][1]
+        r, c = divmod(l, n)
+        if not move(ge, r, c) & zge:
+            return None
+
+    zs = [values[-1]] * size
+    for y, hit in steps:
+        v = values[y]
+        while hit:
+            low = hit & -hit
+            zs[low.bit_length() - 1] = v
+            hit ^= low
+    return tuple(zs)
 
 
 def replay(

@@ -160,15 +160,23 @@ def find_irreducible(p: int, n: int, rng: Random) -> Tuple[int, ...]:
 
 
 def _is_primitive(t, modulus, p: int, n: int) -> bool:
-    """Whether the length-n vector t generates the multiplicative group of
-    F_p[u] / modulus: t^(order/q) != 1 for every prime q dividing the order."""
+    """Whether the length-n vector t has order p^n - 1 in F_p[u] / modulus:
+    t^(p^n - 1) == 1 and t^((p^n - 1)/q) != 1 for every prime q dividing it.
+
+    Then that ring has p^n - 1 units, so it is a field: the test also
+    proves a monic degree-n modulus irreducible.
+    """
     order = p**n - 1
     t = _trim(t)
     if order == 1:
         return t == (1,)
-    return bool(t) and all(
-        _ppowmod(t, order // q, modulus, p) != (1,) for q in _prime_factors(order)
-    )
+    if not t:
+        return False
+    for q in _prime_factors(order):
+        s = _ppowmod(t, order // q, modulus, p)
+        if s == (1,):
+            return False
+    return _ppowmod(s, q, modulus, p) == (1,)  # t^order
 
 
 def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
@@ -208,15 +216,20 @@ class FieldCtx:
         object.__setattr__(self, "t", tuple(self.t))
         p, n = self.p, self.n
         check_order(p, n)
-        if len(self.modulus) != n + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        if any(not (0 <= c < p) for c in self.modulus):
-            raise ValueError("modulus coefficients must be reduced mod p")
-        if not is_irreducible(self.modulus, p):
-            raise ValueError("modulus is reducible")
-        if len(self.t) != n or any(not (0 <= c < p) for c in self.t):
-            raise ValueError("t must be a length-n coefficient vector mod p")
-        if not _is_primitive(self.t, self.modulus, p, n):
+        modulus, t = self.modulus, self.t
+        monic = len(modulus) == n + 1 and modulus[-1] == 1
+        reduced = all(0 <= c < p for c in modulus) and all(0 <= c < p for c in t)
+        # a t of order p^n - 1 proves the modulus irreducible (_is_primitive);
+        # only a rejection runs the checks in order, for the first failure
+        if not (monic and reduced and len(t) == n and _is_primitive(t, modulus, p, n)):
+            if not monic:
+                raise ValueError("modulus must be monic of degree n")
+            if any(not (0 <= c < p) for c in modulus):
+                raise ValueError("modulus coefficients must be reduced mod p")
+            if not is_irreducible(modulus, p):
+                raise ValueError("modulus is reducible")
+            if len(t) != n or any(not (0 <= c < p) for c in t):
+                raise ValueError("t must be a length-n coefficient vector mod p")
             raise ValueError("t must generate the multiplicative group")
         object.__setattr__(self, "_zero", (0,) * n)
         object.__setattr__(self, "_one", (1,) + (0,) * (n - 1))

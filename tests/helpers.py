@@ -8,7 +8,7 @@ implementations that share no code.
 import itertools
 from random import Random
 
-from twoside.digital import INF, W, digit_sum, w_add, w_mul
+from twoside.digital import W, digit_sum, w_add, w_mul
 from twoside.gf import FieldCtx, f_mul, make_field_ctx
 from twoside.matrices import zeros
 from twoside.twisted_ring import (

@@ -16,7 +16,7 @@ from twoside.digital_kex import (
     recover_shared_key,
     run_exchange,
 )
-from twoside.gf import gauss_solve, gauss_solve_full, make_field_ctx
+from twoside.gf import gauss_solve, gauss_solve_full
 from twoside.matrices import Circulant
 from twoside.solver import LinearSystem, maximal_solution
 from twoside.twisted_kex import attack as twisted_attack
@@ -25,7 +25,6 @@ from twoside.twisted_kex import random_params as twisted_random_params
 from twoside.twisted_kex import recover_shared_key as twisted_recover
 from twoside.twisted_kex import run_exchange as twisted_run_exchange
 from twoside.twisted_ring import (
-    RingElement,
     cocycle,
     dihedral_mul,
     make_ring_ctx,

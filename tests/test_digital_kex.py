@@ -270,12 +270,25 @@ def test_recover_shared_key_matches_dense_replay(data):
     )
 
 
-@settings(max_examples=80, deadline=None)
+def tied_values(data):
+    """Values up to a small entry bound (1, 2 or 9), or INF: few ranks, so
+    many entries of M and of the target tie in W's order."""
+    bound = data.draw(st.sampled_from([1, 2, 9]), label="bound")
+    return st.one_of(st.integers(0, bound), st.just(INF))
+
+
+def draw_solve_matrix(data, values, n):
+    """A drawn matrix, or all 0 or all INF: solve's sweeps exit early there."""
+    fill = data.draw(st.sampled_from([None, 0, INF]), label="fill")
+    return draw_matrix(data, values, n) if fill is None else SemiringMatrix(W, [[fill] * n] * n)
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_solve_matches_maximal_solution(data):
-    n = data.draw(st.integers(1, 7), label="n")
-    values = w_values(data)
-    params = DigitalParams(n, draw_matrix(data, values, n))
+    n = data.draw(st.integers(1, 12), label="n")
+    values = data.draw(st.sampled_from([w_values, tied_values]), label="values")(data)
+    params = DigitalParams(n, draw_solve_matrix(data, values, n))
     columns = attack_columns(params)[0]
     inside = data.draw(st.booleans(), label="inside")
     if inside:
@@ -284,7 +297,7 @@ def test_solve_matches_maximal_solution(data):
         flat = w_dot(zs, columns, n * n)
         target = SemiringMatrix(W, [flat[r * n : (r + 1) * n] for r in range(n)])
     else:
-        target = draw_matrix(data, values, n)
+        target = draw_solve_matrix(data, values, n)
     expected = maximal_solution(LinearSystem(columns, target.flat()), W, w_max_component)
     assert solve(params, target) == expected
     if inside:
@@ -347,9 +360,15 @@ def test_exchange_and_attack_at_the_size_cap():
     assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
 
 
-@pytest.mark.parametrize("honest", [False, True])
-def test_solve_on_all_distinct_values_matches_maximal_solution(honest):
-    n = 16
+@pytest.mark.parametrize(
+    "n,honest",
+    [
+        pytest.param(16, False, id="False"),
+        pytest.param(16, True, id="True"),
+        pytest.param(MAX_N, True, id="cap-True"),  # maximal_solution ~1 s
+    ],
+)
+def test_solve_on_all_distinct_values_matches_maximal_solution(n, honest):
     rng = Random(51)
     values = rng.sample(range(10**18), 2 * n * n)
     rows = [values[r * n : (r + 1) * n] for r in range(2 * n)]

@@ -19,7 +19,6 @@ from twoside.gf import (
     field_from_json,
     field_to_json,
     find_irreducible,
-    find_primitive,
     gauss_solve,
     gauss_solve_full,
     is_irreducible,
@@ -137,6 +136,23 @@ def test_field_ctx_rejects_non_primitive_t(p, n):
         else:
             with pytest.raises(ValueError, match="generate"):
                 FieldCtx(p, n, fld.modulus, tk)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 2), (7, 1)]
+)
+def test_field_ctx_accepts_exactly_irreducible_modulus_and_primitive_t(p, n):
+    # FieldCtx accepts on the order test alone; Rabin's test is the oracle
+    for head in itertools.product(range(p), repeat=n):
+        modulus = head + (1,)
+        irreducible = is_irreducible(modulus, p)
+        for t in itertools.product(range(p), repeat=n):
+            if irreducible and gf._is_primitive(t, modulus, p, n):
+                assert FieldCtx(p, n, modulus, t).t == t
+            else:
+                reason = "generate" if irreducible else "modulus is reducible"
+                with pytest.raises(ValueError, match=reason):
+                    FieldCtx(p, n, modulus, t)
 
 
 def test_field_ctx_validation():

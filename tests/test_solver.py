@@ -4,7 +4,6 @@ The exhaustive oracle lives at the top and defines ground truth; every pinned
 value below was frozen from an oracle run, not from the solver.
 """
 
-import itertools
 from random import Random
 
 import pytest

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside.gf import f_inv, f_mul, f_pow, make_field_ctx
+from twoside.gf import f_inv, f_mul, f_pow
 from twoside.twisted_ring import (
     DIHEDRAL_IDENTITY,
     RingElement,
