@@ -7,10 +7,9 @@ the same shared matrix for both sides.
 
 The attack solves the one-sided-linear system that expresses a public
 matrix in the basis C_i M C_j of two-sided circulant products.  Over this
-semiring every solvable system has a componentwise-maximal solution that a
-single scan computes, so recovery is one pass over n^2 columns; replaying
-the found combination against the other public matrix yields the shared
-key, no secrets needed.
+semiring every solvable system has a componentwise-maximal solution, and
+replaying it against the other public matrix yields the shared key, no
+secrets needed.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .digital import (
 from . import exchange
 from .errors import AttackError
 from .exchange import Codec, KeyPair, Transcript
-from .gf import pack, unpack
+from .gf import mover, pack, unpack
 from .matrices import (
     Circulant,
     SemiringMatrix,
@@ -127,9 +126,9 @@ def run_exchange(params: DigitalParams, rng: Random) -> Transcript:
 # the guard bit of each lane set where a >= b, with no borrow across lanes,
 # and m - (m >> 15) widens those guard bits to a value mask (after Lamport,
 # "Multiple byte processing with full-word instructions", CACM 1975).  Every
-# shifted copy of a matrix, and every compare, min and max over all n^2
-# entries, is then a few int operations.  solve works on one bit per entry
-# instead: a set of copies is one n^2-bit int, moved by the same rotation.
+# shifted copy of a matrix (gf.mover), and every compare, min and max over
+# all n^2 entries, is then a few int operations.  solve works on one bit per
+# entry instead: a set of copies is one n^2-bit int, moved the same way.
 
 def _lane_constants(n: int) -> Tuple[int, int]:
     """ONES (1 in each of the n*n lanes) and GUARD (bit 15 of each lane)."""
@@ -137,44 +136,10 @@ def _lane_constants(n: int) -> Tuple[int, int]:
     return ones, ones << 15
 
 
-def _mover(n: int, bits: int):
-    """move(x, r, c): the n x n grid x, entry (i, j) in lane i*n + j of
-    `bits` bits, with entry (i, j) taken from x[i - r][j + c], indices mod n.
-
-    That is x with every row rotated left by c, then rotated down by r rows.
-    The 16-bit rank lanes of the exchange and the replay, and solve's 1-bit
-    masks, share it.
-    """
-    size = bits * n * n
-    full = (1 << size) - 1
-    row_ones = full // ((1 << bits * n) - 1)  # the lowest lane of every row
-    lo = [row_ones * ((1 << bits * (n - c)) - 1) for c in range(n)]  # columns j < n - c
-
-    def move(x: int, r: int, c: int) -> int:
-        if c:
-            x = ((x >> bits * c) & lo[c]) | ((x << bits * (n - c)) & (full ^ lo[c]))
-        if r:
-            s = bits * n * r
-            x = ((x << s) & full) | (x >> (size - s))
-        return x
-
-    return move
-
-
-def _shifted_copies(x: int, n: int) -> list:
-    """Packed copies of x with entry (r, c) taken from x[r - i][c + j].
-
-    One copy per (i, j), row-major in (i, j), indices mod n.  Each row-left
-    rotation is made once and rotated down n times.
-    """
-    move = _mover(n, 16)
-    by_j = [move(x, 0, j) for j in range(n)]
-    return [move(by_j[j], i, 0) for i in range(n) for j in range(n)]
-
-
-def _max_min(zs, copies, n: int) -> int:
-    """Packed ranks of sum_k z_k * H_k: lanewise max over k of min(z_k, H_k)."""
-    ones, guard = _lane_constants(n)
+def _max_min(zs, copies, consts: Tuple[int, int]) -> int:
+    """Packed ranks of sum_k z_k * H_k: lanewise max over k of min(z_k, H_k),
+    with consts = _lane_constants(n)."""
+    ones, guard = consts
     acc = 0
     for z, h in zip(zs, copies):
         if z:  # rank 0 is the zero: it adds nothing
@@ -198,17 +163,17 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     Over W the unit circulants are permutation matrices: INF * x = x,
     0 * x = 0 and 0 + x = x, so each entry of C_i M C_j is a single entry of
     M, namely (C_i M C_j)[r][c] = M[(r - i) mod n][(c + j) mod n].  The
-    columns are built by that index shift on packed entry positions, with no
-    semiring arithmetic, and equal flatten_two_sided(params.matrix, gens,
-    gens)[0].  pairs holds the (i, j) of each column; the attack itself
-    reads neither pairs nor gens.
+    columns are read from M by that index shift, with no semiring
+    arithmetic, and equal flatten_two_sided(params.matrix, gens, gens)[0].
+    pairs holds the (i, j) of each column.  The attack itself builds no
+    columns: solve and replay move packed lanes instead.
     """
     n = params.n
     flat = params.matrix.flat()
-    # shifted copies of the entry positions 0 .. n^2 - 1, read back from M
     columns = tuple(
-        tuple([flat[k] for k in unpack(copy, n * n, 16)])
-        for copy in _shifted_copies(pack(range(n * n), 16), n)
+        tuple([flat[(r - i) % n * n + (c + j) % n] for r in range(n) for c in range(n)])
+        for i in range(n)
+        for j in range(n)
     )
     pairs = tuple((i, j) for i in range(n) for j in range(n))
     return columns, pairs, circulant_generators(W, n)
@@ -246,9 +211,9 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
     flat = x.flat()
     values, rank = _chain(left.col, right.col, flat)
     packed = pack([rank[v] for v in flat], 16)
-    move = _mover(n, 16)
-    y = _max_min([rank[v] for v in left.col], [move(packed, i, 0) for i in range(n)], n)
-    acc = _max_min([rank[v] for v in right.col], [move(y, 0, j) for j in range(n)], n)
+    move, consts = mover(n, n, 16), _lane_constants(n)
+    y = _max_min([rank[v] for v in left.col], [move(packed, i) for i in range(n)], consts)
+    acc = _max_min([rank[v] for v in right.col], [move(y, 0, j) for j in range(n)], consts)
     return _matrix(acc, values, n)
 
 
@@ -281,7 +246,7 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
     ms = [rank[matrix[-a % n * n + b]] for a in range(n) for b in range(n)]  # M'
     by_y = sorted(range(size), key=ys.__getitem__)
     by_m = sorted(range(size), key=ms.__getitem__)
-    move = _mover(n, 1)
+    move = mover(n, n, 1)
 
     gt = free = (1 << size) - 1  # "M' > y" and the copies with no z yet
     steps = []  # (y, the copies whose z is y), y ascending
@@ -332,16 +297,23 @@ def replay(
 
     Returns the sum of z_k * C_i other_pk C_j with (i, j) the k-th pair of
     attack_columns, row-major.  By the permutation identity of
-    attack_columns (INF * x = x, 0 * x = 0, 0 + x = x), each product is an
-    index-shifted copy of other_pk, so no matrix product is formed; the sum
-    runs on packed ranks.  Raises ValueError when other_pk is not n x n.
+    attack_columns (INF * x = x, 0 * x = 0, 0 + x = x), each product is
+    other_pk with every row rotated left by j, then rotated down by i rows,
+    so no matrix product is formed; the sum runs on packed ranks.  Moving
+    lanes commutes with lanewise max and min, so the sum over j is taken on
+    the n row-left copies and rotated down once per i: 2n moves, not n^2.
+    Raises ValueError when other_pk is not n x n.
     """
     n = params.n
     _require_size(n, other_pk.n, "matrix")
     other = other_pk.flat()
     values, rank = _chain(solution, other)
-    copies = _shifted_copies(pack([rank[v] for v in other], 16), n)
-    return _matrix(_max_min([rank[z] for z in solution], copies, n), values, n)
+    move, consts = mover(n, n, 16), _lane_constants(n)
+    x = pack([rank[v] for v in other], 16)
+    by_j = [move(x, 0, j) for j in range(n)]
+    zs = [rank[z] for z in solution]
+    rows = [move(_max_min(zs[i * n : (i + 1) * n], by_j, consts), i) for i in range(n)]
+    return _matrix(_max_min([len(values) - 1] * n, rows, consts), values, n)
 
 
 def recover_shared_key(

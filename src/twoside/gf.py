@@ -494,6 +494,30 @@ def unpack(x: int, count: int, bits: int) -> Sequence[int]:
     return lanes
 
 
+def mover(rows: int, cols: int, bits: int):
+    """move(x, r, c=0): the rows x cols grid x, entry (i, j) in lane
+    i * cols + j of `bits` bits, with entry (i, j) taken from x[i - r][j + c],
+    both indices wrapping around: every row rotated left by c, then the grid
+    rotated down by r rows.  The one lane rotation of both schemes.
+    """
+    row = bits * cols
+    size = row * rows
+    full = (1 << size) - 1
+    row_ones = full // ((1 << row) - 1)  # the lowest lane of every row
+    lo = [row_ones * ((1 << bits * (cols - c)) - 1) for c in range(cols)]  # columns j < cols - c
+
+    def move(x: int, r: int, c: int = 0) -> int:
+        if c:  # a step that wraps to 0 leaves x as it is
+            c %= cols
+            x = ((x >> bits * c) & lo[c]) | ((x << bits * (cols - c)) & (full ^ lo[c]))
+        if r:
+            s = row * (r % rows)
+            x = ((x << s) & full) | (x >> (size - s))
+        return x
+
+    return move
+
+
 class PackedRows(NamedTuple):
     """Equations over F_p, one int per row: lane j holds the coefficient of
     unknown j, in lanes of lane_bits(p, len(rows)) bits, each below p."""

@@ -28,7 +28,9 @@ from typing import Tuple
 from . import exchange
 from .errors import AttackError, SizeCapError
 from .exchange import Codec, KeyPair, Transcript
-from .gf import PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, pack, powers
+from .gf import (
+    PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, mover, pack, powers,
+)
 from .twisted_ring import (
     RingCtx,
     RingElement,
@@ -309,8 +311,8 @@ def system_rows(params: TwistedParams) -> PackedRows:
     flattened elements.  Since rot_i moves slot (l, k - i) to (l, k), lane
     (a, i, j) of row (l, k, r) is coordinate r of slot (l, k - i) of
     t^a * h * S_j: only the 2n rows with k = 0 are packed from the scaled
-    elements, and row k + 1 is row k with each block of m * w lanes (one
-    t^a) rotated up by w lanes.  Over the size cap of the paper's system it
+    elements, and row k is row 0 with each block of m * w lanes (one t^a)
+    rotated up by k * w lanes.  Over the size cap of the paper's system it
     raises ValueError before building anything, as attack_system does.
     """
     ctx = params.ctx
@@ -318,9 +320,7 @@ def system_rows(params: TwistedParams) -> PackedRows:
     n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
     check_system_size(n, m)
     bits = lane_bits(fld.p, 2 * m * n)
-    step = w * bits  # one rotation: lane (a, i, j) -> (a, i + 1, j)
-    first = sum(((1 << step) - 1) << a * m * step for a in range(n))  # the lanes i = 0
-    rest = ((1 << n * m * step) - 1) ^ first
+    move = mover(n, m, w * bits)  # move(x, 0, -k): lane (a, i, j) -> (a, i + k, j)
     lanes = ctx.lanes
     scaled = [[lanes.unpack(rot, refl) for rot, refl in halves] for halves in _scaled(params, n)]
     rows = [0] * (2 * m * n)
@@ -329,8 +329,7 @@ def system_rows(params: TwistedParams) -> PackedRows:
             slots = [(l * m + (-i) % m) * n + r for i in range(m)]  # slot (l, -i), coord r
             x = pack([vecs[j][s] for vecs in scaled for s in slots for j in range(w)], bits)
             for k in range(m):
-                rows[(l * m + k) * n + r] = x
-                x = ((x << step) & rest) | ((x >> step * (m - 1)) & first)
+                rows[(l * m + k) * n + r] = move(x, 0, -k)
     return PackedRows(rows, n * m * w, fld.p)
 
 
@@ -341,8 +340,11 @@ def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
     and folds z into c_ij = sum_a z_(a,i,j) * t^a, keeping the nonzero ones.
     None means target_pk is outside the span.  Padded with zeros for the
     unknowns with b > 0, a solution here solves attack_system, so replay
-    recovers the same key as recover_shared_key.
+    recovers the same key as recover_shared_key.  Raises ValueError when
+    target_pk lives in another ring.
     """
+    if target_pk.ctx != params.ctx:
+        raise ValueError("ring context mismatch")
     fld = params.ctx.field
     z = gauss_solve_packed(system, flatten(target_pk))
     if z is None:
@@ -361,7 +363,12 @@ def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
 
 
 def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:
-    """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}."""
+    """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}.
+
+    Raises ValueError when other_pk lives in another ring.
+    """
+    if other_pk.ctx != params.ctx:
+        raise ValueError("ring context mismatch")
     ctx = params.ctx
     by_orbit = {}  # j -> [(i, c_ij)]
     for (i, j), c in coeffs.items():

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 from random import Random
-from typing import NamedTuple, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .gf import (
     FieldCtx,
@@ -35,6 +35,7 @@ from .gf import (
     f_sub,
     field_from_json,
     field_to_json,
+    mover,
     pack,
     powers,
     unpack,
@@ -77,6 +78,7 @@ class RingLanes(NamedTuple):
     top: int  # lane n - 1 of every slot
     neg: int  # -modulus in lanes 0 .. n-1: u^n = sum(neg_r u^r)
     full: int  # all m * n lanes of a half
+    rotate: Callable  # rotate(y, i) = x^i * y: slot k moves to slot k + i mod m
 
     def pack(self, flat) -> Tuple[int, int]:
         """The halves of the element with flatten(elem) == flat, each value below p."""
@@ -105,12 +107,6 @@ class RingLanes(NamedTuple):
         """s * y for ys = u_powers(y): n multiply-adds, lanes at most (p - 1)(q - 1)."""
         return sum(map(mul, s, ys))
 
-    def rotate(self, y: int, i: int) -> int:
-        """x^i * y for a half y: slot k moves to slot k + i mod m."""
-        step = self.n * self.bits
-        shift = i % self.m * step
-        return ((y << shift) & self.full) | (y >> self.m * step - shift)
-
 
 def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
     """The lane layout of the halves of the ring over fld with dihedral m."""
@@ -121,7 +117,7 @@ def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
     low = slots * ((1 << (n - 1) * bits) - 1)
     top = slots * ((1 << bits) - 1) << (n - 1) * bits
     neg = pack([-c % p for c in fld.modulus[:n]], bits)
-    return RingLanes(p, n, m, bits, low, top, neg, (1 << m * n * bits) - 1)
+    return RingLanes(p, n, m, bits, low, top, neg, (1 << m * n * bits) - 1, mover(m, 1, n * bits))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoside import digital_kex, gf
 from twoside.digital import INF, MAX_FINITE, W, value_to_json, w_leq, w_max_component
 from twoside.digital_kex import (
     MAX_N,
@@ -20,6 +21,7 @@ from twoside.digital_kex import (
     params_to_json,
     random_params,
     recover_shared_key,
+    replay,
     run_exchange,
     sample_circulant,
     shared_key,
@@ -321,6 +323,43 @@ def test_chain_ranks_agree_with_w_leq(data):
         assert values[rank[a]] == a
         for b in values:
             assert (rank[a] <= rank[b]) == w_leq(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", [16, MAX_N])
+def test_replay_matches_w_dot_at_large_n(n):
+    # replay sums n row-left copies per row rotation: pin it where n is largest
+    rng = Random(60 + n)
+    params = random_params(n, rng)
+
+    def draw():
+        return rng.choice((0, INF, rng.randrange(10), rng.randrange(MAX_FINITE + 1)))
+
+    other_pk = SemiringMatrix(W, [[draw() for _ in range(n)] for _ in range(n)])
+    solution = tuple(draw() for _ in range(n * n))
+    columns = attack_columns(DigitalParams(n, other_pk))[0]
+    assert replay(params, solution, other_pk).flat() == w_dot(solution, columns, n * n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_replay_moves_at_most_2n_times(n, monkeypatch):
+    rng = Random(70 + n)
+    params = random_params(n, rng)
+    tr = run_exchange(params, rng)
+    solution = solve(params, tr.alice.pk)
+    moves = []
+
+    def counting_mover(*shape):
+        move = gf.mover(*shape)
+
+        def counted(*args):
+            moves.append(args)
+            return move(*args)
+
+        return counted
+
+    monkeypatch.setattr(digital_kex, "mover", counting_mover)
+    assert replay(params, solution, tr.bob.pk) == tr.shared_key
+    assert 0 < len(moves) <= 2 * n
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -455,6 +455,28 @@ def test_pack_unpack_round_trip(p):
         assert list(gf.unpack(packed, 37, bits)) == values
 
 
+# 1-bit digital masks, 16-bit rank lanes, and a wide odd width like a ring
+# half's n * bits or a system row's w * bits
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    bits=st.sampled_from([1, 16, 48]),
+    r=st.integers(-30, 30),
+    c=st.integers(-30, 30),
+    data=st.data(),
+)
+def test_mover_matches_index_formula(rows, cols, bits, r, c, data):
+    size = rows * cols
+    values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=size, max_size=size))
+    moved = gf.mover(rows, cols, bits)(gf.pack(values, bits), r, c)
+    assert moved < 1 << size * bits
+    lanes = [(moved >> k * bits) & ((1 << bits) - 1) for k in range(size)]
+    assert lanes == [
+        values[(i - r) % rows * cols + (j + c) % cols] for i in range(rows) for j in range(cols)
+    ]
+
+
 @pytest.mark.parametrize("p,n,m", [(3, 2, 4), (5, 1, 6), (7, 1, 8), (5, 2, 12)])
 def test_gauss_solve_matches_full_on_odd_p_attack_systems(p, n, m):
     params = twisted_kex.random_params(p, n, m, Random(21))

@@ -216,6 +216,24 @@ def test_attack_ignores_honest_coefficient_structure():
     )
 
 
+def test_attack_rejects_keys_from_another_ring():
+    # p1 and p2 share the shape (3, 2, 4) but not the field; the m = 5 ring
+    # has another shape.  solve rejects the target, replay the peer's key.
+    p1 = random_params(3, 2, 4, Random(1))
+    p2 = random_params(3, 2, 4, Random(7))
+    p5 = random_params(3, 2, 5, Random(1))
+    assert p1.ctx != p2.ctx
+    t1, t2, t5 = (run_exchange(p, Random(3)) for p in (p1, p2, p5))
+    for target, other in (
+        (t1.alice.pk, t2.bob.pk),
+        (t1.alice.pk, t5.bob.pk),
+        (t2.alice.pk, t1.bob.pk),
+        (t5.alice.pk, t1.bob.pk),
+    ):
+        with pytest.raises(ValueError, match="ring context mismatch"):
+            attack(p1, target, other)
+
+
 def test_attack_rejects_unreachable_element():
     # m = 1 gives a single basis product, so almost any target is outside
     # its span
