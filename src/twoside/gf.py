@@ -446,22 +446,23 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _LANE_CODES = {array(code).itemsize * 8: code for code in "HIQ"}
 
 
+def lane_width(bound: int) -> int:
+    """The first of 16, 32, 64, 128, ... bits whose lanes hold every value up to bound."""
+    bits = 16
+    while bound >> bits:
+        bits *= 2
+    return bits
+
+
 def lane_bits(p: int, rows: int) -> int:
     """Lane width of a packed system of rows equations over F_p.
 
-    1 for p = 2, which eliminates with XOR.  Otherwise the first of 16, 32,
-    64, 128, ... bits that holds p + rows * (p - 1)^2: a row gets at most
-    one multiple (p - f) * pivot_row, with f and the reduced pivot row's
-    entries below p, per pivot, so no lane of a row that started below p
-    ever carries into the next.
+    1 for p = 2, which eliminates with XOR.  Otherwise the lane_width of
+    p + rows * (p - 1)^2: a row gets at most one multiple (p - f) * pivot_row,
+    with f and the reduced pivot row's entries below p, per pivot, so no lane
+    of a row that started below p ever carries into the next.
     """
-    if p == 2:
-        return 1
-    need = (p + rows * (p - 1) ** 2).bit_length()
-    bits = 16
-    while bits < need:
-        bits *= 2
-    return bits
+    return 1 if p == 2 else lane_width(p + rows * (p - 1) ** 2)
 
 
 def pack(values, bits: int) -> int:

@@ -12,11 +12,12 @@ symmetric reflections), so one Gaussian elimination over F_p writes it as a
 known linear combination of those products, and replaying that combination
 against the other party's public element reproduces the shared key.
 
-Field scalars are central and t^0 .. t^{n-1} is an F_p-basis of F_{p^n}, so
-the products t^{a+b} * rot_i(h * S_j) of the paper's system span exactly
-what the n-fold fewer t^a * rot_i(h * S_j), a < n, span.  The attack solves
-that smaller system (system_rows, solve, replay); the paper's system
-(basis_products, attack_system, recover_shared_key) stays as the reference.
+Field scalars are central and the field's coordinates u^0 .. u^{n-1} are an
+F_p-basis of F_{p^n}, so the products t^{a+b} * rot_i(h * S_j) of the
+paper's system span exactly what the n-fold fewer u^a * rot_i(h * S_j),
+a < n, span.  The attack solves that smaller system (system_rows, solve,
+replay); the paper's system (basis_products, attack_system,
+recover_shared_key) stays as the reference that recovers the same key.
 """
 
 from __future__ import annotations
@@ -178,22 +179,17 @@ def _sandwich(elem: RingElement, pairs) -> RingElement:
 # -- key recovery from public data only --------------------------------------
 
 
-def _scaled(params: TwistedParams, count: int) -> list:
-    """The packed halves of t^s * h * S_j at [s][j], for s < count and j < w = m//2 + 1.
+def _h_s(params: TwistedParams) -> list:
+    """The u-powers (rot, refl) of the packed halves of h * S_j, for j < w = m//2 + 1.
 
-    The w elements h * S_j are built once and scaled once per t^s; the lanes
-    are left unreduced for RingLanes.unpack.
+    Entry [a] of each list is u^a * h * S_j, with its lanes left unreduced.
     """
     ctx = params.ctx
-    fld, lanes = ctx.field, ctx.lanes
+    lanes = ctx.lanes
     rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(params.h)))
-    h_s = [
-        _times_k(ctx, rot, refl, [(e, fld.one) for e in orbit(ctx.m, j)])
-        for j in range(ctx.m // 2 + 1)
-    ]
     return [
-        [(lanes.scale(y_rot, tp), lanes.scale(y_refl, tp)) for y_rot, y_refl in h_s]
-        for tp in powers(fld, fld.t, count)
+        _times_k(ctx, rot, refl, [(e, ctx.field.one) for e in orbit(ctx.m, j)])
+        for j in range(ctx.m // 2 + 1)
     ]
 
 
@@ -201,7 +197,7 @@ def _fold(terms, fld) -> dict:
     """{(i, j): sum of z * s} over the (i, j, z, s) terms, zero sums dropped.
 
     z is an F_p int and s a field element, so each sum is one F_{p^n}
-    coefficient of the replay.
+    coefficient of the replay.  Only the reference recover_shared_key folds.
     """
     acc = {}
     for i, j, z, s in terms:
@@ -237,13 +233,16 @@ def basis_products(params: TwistedParams) -> Tuple[tuple, tuple, list]:
     elements h * S_j, and equal products share one object.
     """
     ctx = params.ctx
-    lanes = ctx.lanes
-    n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
+    fld, lanes = ctx.field, ctx.lanes
+    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
+    h_s = _h_s(params)
     # t^s * rot_i(h * S_j) at (s * m + i) * w + j, for the scalars t^0 .. t^{2n-2}
-    # of a left times a right basis element
+    # of a left times a right basis element, each scaled once per (s, j)
+    tps = powers(fld, fld.t, 2 * n - 1)
+    scaled = [[(lanes.scale(rot, tp), lanes.scale(refl, tp)) for rot, refl in h_s] for tp in tps]
     elems = [
         unflatten(ctx, lanes.unpack(lanes.rotate(rot, i), lanes.rotate(refl, i)))
-        for halves in _scaled(params, 2 * n - 1)
+        for halves in scaled
         for i in range(m)
         for rot, refl in halves
     ]
@@ -305,15 +304,15 @@ def system_rows(params: TwistedParams) -> PackedRows:
     """The attack system solved by solve, for any target, as packed F_p rows.
 
     Unknown (a, i, j), lane (a * m + i) * w + j, is the coefficient of
-    t^a * rot_i(h * S_j) for a < n, i < m and j < w = m//2 + 1: 2mn equations
+    u^a * rot_i(h * S_j) for a < n, i < m and j < w = m//2 + 1: 2mn equations
     in n * m * w unknowns, n times fewer than attack_system.  Equation
     (l, k, r), row (l * m + k) * n + r, is coordinate r of slot (l, k) of the
     flattened elements.  Since rot_i moves slot (l, k - i) to (l, k), lane
     (a, i, j) of row (l, k, r) is coordinate r of slot (l, k - i) of
-    t^a * h * S_j: only the 2n rows with k = 0 are packed from the scaled
-    elements, and row k is row 0 with each block of m * w lanes (one t^a)
-    rotated up by k * w lanes.  Over the size cap of the paper's system it
-    raises ValueError before building anything, as attack_system does.
+    u^a * h * S_j, entry [a] of its u-powers from _h_s: only the 2n rows with
+    k = 0 are packed from those, and row k is row 0 with each block of m * w
+    lanes (one u^a) rotated up by k * w lanes.  Over the size cap of the
+    paper's system it raises ValueError before building anything.
     """
     ctx = params.ctx
     fld = ctx.field
@@ -322,44 +321,41 @@ def system_rows(params: TwistedParams) -> PackedRows:
     bits = lane_bits(fld.p, 2 * m * n)
     move = mover(n, m, w * bits)  # move(x, 0, -k): lane (a, i, j) -> (a, i + k, j)
     lanes = ctx.lanes
-    scaled = [[lanes.unpack(rot, refl) for rot, refl in halves] for halves in _scaled(params, n)]
+    # flatten(u^a * h * S_j) at [j][a]
+    vecs = [[lanes.unpack(*halves) for halves in zip(rot, refl)] for rot, refl in _h_s(params)]
     rows = [0] * (2 * m * n)
     for l in range(2):
         for r in range(n):
             slots = [(l * m + (-i) % m) * n + r for i in range(m)]  # slot (l, -i), coord r
-            x = pack([vecs[j][s] for vecs in scaled for s in slots for j in range(w)], bits)
+            x = pack([vecs[j][a][s] for a in range(n) for s in slots for j in range(w)], bits)
             for k in range(m):
                 rows[(l * m + k) * n + r] = move(x, 0, -k)
     return PackedRows(rows, n * m * w, fld.p)
 
 
+def _check_ring(params: TwistedParams, *keys: RingElement) -> None:
+    """Raise ValueError when a key lives in another ring than params."""
+    if any(key.ctx != params.ctx for key in keys):
+        raise ValueError("ring context mismatch")
+
+
 def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
     """The replay coefficients {(i, j): c_ij} for target_pk, or None.
 
-    Solves system_rows(params) against target_pk with free variables zero
-    and folds z into c_ij = sum_a z_(a,i,j) * t^a, keeping the nonzero ones.
-    None means target_pk is outside the span.  Padded with zeros for the
-    unknowns with b > 0, a solution here solves attack_system, so replay
-    recovers the same key as recover_shared_key.  Raises ValueError when
+    Solves system_rows(params) against target_pk with free variables zero;
+    c_ij = sum_a z_(a,i,j) * u^a has the coordinates (z_(a,i,j) for a < n),
+    and the nonzero ones are kept.  None means target_pk is outside the
+    span.  For a target g * h * k, such as an honest public key, replay then
+    recovers the key recover_shared_key does.  Raises ValueError when
     target_pk lives in another ring.
     """
-    if target_pk.ctx != params.ctx:
-        raise ValueError("ring context mismatch")
-    fld = params.ctx.field
+    _check_ring(params, target_pk)
     z = gauss_solve_packed(system, flatten(target_pk))
     if z is None:
         return None
     m, w = params.ctx.m, params.ctx.m // 2 + 1
-    t_pows = powers(fld, fld.t, fld.n)
-
-    def terms():
-        for idx, v in enumerate(z):
-            if v:
-                a, ij = divmod(idx, m * w)
-                i, j = divmod(ij, w)
-                yield i, j, v, t_pows[a]
-
-    return _fold(terms(), fld)
+    cols = (tuple(z[ij :: m * w]) for ij in range(m * w))
+    return {divmod(ij, w): c for ij, c in enumerate(cols) if any(c)}
 
 
 def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:
@@ -367,8 +363,7 @@ def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingEl
 
     Raises ValueError when other_pk lives in another ring.
     """
-    if other_pk.ctx != params.ctx:
-        raise ValueError("ring context mismatch")
+    _check_ring(params, other_pk)
     ctx = params.ctx
     by_orbit = {}  # j -> [(i, c_ij)]
     for (i, j), c in coeffs.items():
@@ -380,6 +375,7 @@ def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingEl
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:
     """Recover the shared key of the party that published target_pk."""
+    _check_ring(params, target_pk, other_pk)  # before the build
     coeffs = solve(params, system_rows(params), target_pk)
     if coeffs is None:
         raise AttackError(

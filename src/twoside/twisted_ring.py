@@ -35,6 +35,7 @@ from .gf import (
     f_sub,
     field_from_json,
     field_to_json,
+    lane_width,
     mover,
     pack,
     powers,
@@ -64,7 +65,7 @@ class RingLanes(NamedTuple):
     """A ring element as two ints of F_p lanes: its rotation and reflection halves.
 
     Lane k * n + r of a half, bits wide, holds coordinate r of slot k.  Lanes
-    may hold unreduced values: bits is the first of 16, 32 and 64 that holds
+    may hold unreduced values: bits is the gf.lane_width that holds
     w * m * (p - 1) * (q - 1), w = m // 2 + 1 and q = p^n, which bounds the
     sums of scaled, rotated halves that twisted_kex forms between reductions.
     Under MAX_PRIME, MAX_ORDER and MAX_M that bound is below 2^47.
@@ -111,8 +112,7 @@ class RingLanes(NamedTuple):
 def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
     """The lane layout of the halves of the ring over fld with dihedral m."""
     p, n = fld.p, fld.n
-    need = (m // 2 + 1) * m * (p - 1) * (fld.order - 1)
-    bits = next(b for b in (16, 32, 64) if need < 1 << b)
+    bits = lane_width((m // 2 + 1) * m * (p - 1) * (fld.order - 1))
     slots = sum(1 << k * n * bits for k in range(m))  # bit 0 of every slot
     low = slots * ((1 << (n - 1) * bits) - 1)
     top = slots * ((1 << bits) - 1) << (n - 1) * bits

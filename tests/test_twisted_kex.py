@@ -216,14 +216,19 @@ def test_attack_ignores_honest_coefficient_structure():
     )
 
 
-def test_attack_rejects_keys_from_another_ring():
+def test_attack_rejects_keys_from_another_ring(monkeypatch):
     # p1 and p2 share the shape (3, 2, 4) but not the field; the m = 5 ring
-    # has another shape.  solve rejects the target, replay the peer's key.
+    # has another shape.  attack rejects either key before it builds anything.
     p1 = random_params(3, 2, 4, Random(1))
     p2 = random_params(3, 2, 4, Random(7))
     p5 = random_params(3, 2, 5, Random(1))
     assert p1.ctx != p2.ctx
     t1, t2, t5 = (run_exchange(p, Random(3)) for p in (p1, p2, p5))
+
+    def fail(*args):
+        raise AssertionError("attack built the system for a key from another ring")
+
+    monkeypatch.setattr(twisted_kex, "system_rows", fail)
     for target, other in (
         (t1.alice.pk, t2.bob.pk),
         (t1.alice.pk, t5.bob.pk),
@@ -347,14 +352,21 @@ def test_exchange_runs_without_ring_products(p, n, m, monkeypatch):
         assert shared_key(own, other.pk) == (own.left * other.pk) * own.right.adjoint()
 
 
-@pytest.mark.parametrize(
-    "p,n,m", [(65521, 1, 64), (31, 4, 64), (1021, 2, 64), (2, 8, 64), (5, 8, 4), (2, 1, 1), (3, 1, 2)]
-)
+# the ring's lane width at each shape: the first of 16, 32, 64 bits that holds w m (p-1)(q-1)
+LANE_BOUND_BITS = {
+    (65521, 1, 64): 64, (31, 4, 64): 64, (1021, 2, 64): 64, (2, 8, 64): 32, (5, 8, 4): 32,
+    (2, 1, 1): 16, (3, 1, 2): 16,
+}
+
+
+@pytest.mark.parametrize("p,n,m", list(LANE_BOUND_BITS))
 def test_products_at_the_lane_bound(p, n, m):
     # every coefficient p - 1, in the widest lanes: h, both secrets and every c_ij
     ctx = make_ring_ctx(make_test_field(p, n), m)
     w = m // 2 + 1
-    assert w * m * (p - 1) * (p**n - 1) < 1 << ctx.lanes.bits
+    bits = LANE_BOUND_BITS[p, n, m]
+    assert ctx.lanes.bits == bits
+    assert w * m * (p - 1) * (p**n - 1) < 1 << bits
     top, zero = (p - 1,) * n, (ctx.field.zero,) * m
     left, right = RingElement(ctx, (top,) * m + zero), RingElement(ctx, zero + (top,) * m)
     params = TwistedParams(ctx, RingElement(ctx, (top,) * (2 * m)))
@@ -365,6 +377,10 @@ def test_products_at_the_lane_bound(p, n, m):
     coeffs = {(i, j): top for i in range(m) for j in range(w)}
     orbit_sum = RingElement(ctx, zero + (ctx.field.one,) * m)
     assert replay(params, coeffs, pair.pk) == (left * pair.pk) * orbit_sum.adjoint()
+    # the attack reads u^a * h * S_j, lanes up to p^(n-1) * (p - 1), wherever
+    # the paper's system of (n m)(n w) unknowns x 2mn equations fits the cap
+    if (n * m) * (n * w) * (2 * m * n) <= MAX_SYSTEM_CELLS:
+        assert attack(params, pair.pk, pair.pk) == shared_key(pair, pair.pk)
 
 
 def test_products_scale_once_per_term_not_per_coefficient(monkeypatch):
@@ -446,7 +462,7 @@ def test_recover_shared_key_all_zero_solution(p, n, m):
     assert dense_twisted_replay(params, solution, params.h, left_basis, right_basis) == zero
 
 
-# -- the reduced system t^a * rot_i(h * S_j), a < n, against the paper's system ----
+# -- the reduced system u^a * rot_i(h * S_j), a < n, against the paper's system ----
 
 
 @settings(max_examples=80, deadline=None)
@@ -515,11 +531,13 @@ def test_packed_system_rows_match_transposed_columns(data):
     ctx = params.ctx
     system = system_rows(params)
     rows = unpacked_rows(system)
-    # the b = 0 products t^a * rot_i(h * S_j): the first w of each (a, i) block of n * w
-    products = basis_products(params)[2]
-    w = ctx.m // 2 + 1
-    block = ctx.field.n * w
-    columns = [flatten(prod) for k in range(0, len(products), block) for prod in products[k : k + w]]
+    # u^a times the a = b = 0 products x^i * h * S_j, the first w of each i block of n * w
+    n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
+    products = dense_basis_products(params)[2]
+    u_pows = [tuple(int(r == a) for r in range(n)) for a in range(n)]
+    columns = [
+        flatten(products[i * n * w + j].scale(u)) for u in u_pows for i in range(m) for j in range(w)
+    ]
     assert rows == list(zip(*columns))
     # the packed solve returns exactly the list elimination's solution
     target = flatten(draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse"]))))
@@ -541,7 +559,7 @@ def test_attack_system_size_cap(monkeypatch):
         raise AssertionError("attack system built for an over-cap system")
 
     monkeypatch.setattr(twisted_kex, "basis_products", fail)
-    monkeypatch.setattr(twisted_kex, "_scaled", fail)
+    monkeypatch.setattr(twisted_kex, "_h_s", fail)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="135168 unknowns x 1024 equations"):
