@@ -442,6 +442,7 @@ def gauss_solve_full(rows, rhs, p: int):
 # -- the same solve on rows packed into ints -----------------------------------
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # array type codes by lane width; a width without one packs through bytes
 _LANE_CODES = {array(code).itemsize * 8: code for code in "HIQ"}
 
@@ -533,34 +534,34 @@ class PackedRows(NamedTuple):
 
 
 def _eliminate_f2(rows: list, c: int) -> Optional[list]:
-    """Solve the packed F_2 rows [A | b] (b is bit c) by XOR elimination.
+    """Solve the packed F_2 rows [A | b] (b is bit c) by XOR-basis insertion.
 
-    A live row is filed under its lead, its lowest set bit.  Each step
-    pivots on the leftmost lead and XORs the pivot into the rows that share
-    it; rows with a later lead are not touched.  A row whose lead is bit c
-    reads 0 = 1.  Back-substitution, free variables zero: a pivot's unknown
-    is its right-hand side plus the parity of the later unknowns it holds.
+    Each row is XORed with the pivot that holds its lead, its lowest set
+    bit, until it is zero or has a lead no pivot holds; it then becomes the
+    pivot for that lead.  A row whose lead is bit c reads 0 = 1.  The
+    leads of any such basis of the row space are the pivot columns of its
+    reduced form, so row order does not change the solution.
+    Back-substitution over the leads in descending order, free variables
+    zero: a pivot's unknown is its right-hand side plus the parity of the
+    later unknowns it holds.
     """
-    by_lead: dict = {}  # lead column -> rows
+    basis = [0] * c  # lead column -> pivot row, 0 where no pivot has that lead
     for v in rows:
-        if v:
-            by_lead.setdefault((v & -v).bit_length() - 1, []).append(v)
-    pivots = []
-    while by_lead:
-        col = min(by_lead)
-        if col == c:
-            return None
-        pivot, *rest = by_lead.pop(col)
-        pivots.append((col, pivot))
-        for v in rest:
+        while v:
+            col = (v & -v).bit_length() - 1
+            if col == c:
+                return None
+            pivot = basis[col]
+            if not pivot:
+                basis[col] = v
+                break
             v ^= pivot
-            if v:
-                by_lead.setdefault((v & -v).bit_length() - 1, []).append(v)
     x = 0  # bit j is unknown j
-    for col, pivot in reversed(pivots):
-        if ((pivot >> c) ^ (pivot & x).bit_count()) & 1:
+    for col in reversed(range(c)):
+        pivot = basis[col]
+        if pivot and ((pivot >> c) ^ (pivot & x).bit_count()) & 1:
             x |= 1 << col
-    return [int(b) for b in format(x, f"0{c}b")[::-1]]
+    return list(format(x, f"0{c}b")[::-1].encode().translate(_DIGIT_VALUES))
 
 
 def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
@@ -625,8 +626,9 @@ def gauss_solve_packed(system: PackedRows, rhs) -> Optional[list]:
     """The solution of the packed system against rhs, free variables zero, or None.
 
     The right-hand side goes into lane `unknowns` of each row.  p = 2 runs
-    the XOR elimination, every odd p the delayed-reduction one; both return
-    exactly what gauss_solve_full returns for the unpacked rows.
+    the XOR-basis insertion, every odd p the delayed-reduction elimination;
+    both return exactly what gauss_solve_full returns for the unpacked rows,
+    in any row order.
     """
     rows, c, p = system
     if len(rows) == 0 or len(rows) != len(rhs):

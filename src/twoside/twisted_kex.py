@@ -30,7 +30,7 @@ from . import exchange
 from .errors import AttackError, SizeCapError
 from .exchange import Codec, KeyPair, Transcript
 from .gf import (
-    PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, mover, pack, powers,
+    PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, mover, pack, powers, unpack,
 )
 from .twisted_ring import (
     RingCtx,
@@ -53,6 +53,8 @@ from .twisted_ring import (
 # cap on unknowns x equations of the attack system: (2, 4, 16) needs 294,912
 # cells, while (2, 8, 64) would need 138M and several GB
 MAX_SYSTEM_CELLS = 1 << 22
+
+_LOW_BIT = bytes(v & 1 for v in range(256))  # a byte value mod 2
 
 
 @dataclass(frozen=True)
@@ -303,34 +305,46 @@ def recover_shared_key(
 def system_rows(params: TwistedParams) -> PackedRows:
     """The attack system solved by solve, for any target, as packed F_p rows.
 
-    Unknown (a, i, j), lane (a * m + i) * w + j, is the coefficient of
-    u^a * rot_i(h * S_j) for a < n, i < m and j < w = m//2 + 1: 2mn equations
-    in n * m * w unknowns, n times fewer than attack_system.  Equation
+    Unknown (i, a, j), lane (i * n + a) * w + j, is the coefficient of
+    u^a * rot_i(h * S_j) for i < m, a < n and j < w = m//2 + 1: 2mn equations
+    in m * n * w unknowns, n times fewer than attack_system.  Equation
     (l, k, r), row (l * m + k) * n + r, is coordinate r of slot (l, k) of the
     flattened elements.  Since rot_i moves slot (l, k - i) to (l, k), lane
-    (a, i, j) of row (l, k, r) is coordinate r of slot (l, k - i) of
-    u^a * h * S_j, entry [a] of its u-powers from _h_s: only the 2n rows with
-    k = 0 are packed from those, and row k is row 0 with each block of m * w
-    lanes (one u^a) rotated up by k * w lanes.  Over the size cap of the
-    paper's system it raises ValueError before building anything.
+    (i, a, j) of row (l, k, r) is coordinate r of slot (l, k - i) of
+    u^a * h * S_j.  The n * w elements u^a * h * S_j from _h_s are read in
+    one pass, element (a, j) at lanes from (a * w + j) * 2mn, so row (l, 0, r)
+    is m strided slices of those values, one per i; row (l, k, r) is row
+    (l, 0, r) with its m blocks of n * w lanes rotated up by k blocks.  Over
+    the size cap of the paper's system it raises ValueError before building
+    anything.
     """
     ctx = params.ctx
-    fld = ctx.field
-    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
+    fld, lanes = ctx.field, ctx.lanes
+    p, n, m, w = fld.p, fld.n, ctx.m, ctx.m // 2 + 1
     check_system_size(n, m)
-    bits = lane_bits(fld.p, 2 * m * n)
-    move = mover(n, m, w * bits)  # move(x, 0, -k): lane (a, i, j) -> (a, i + k, j)
-    lanes = ctx.lanes
-    # flatten(u^a * h * S_j) at [j][a]
-    vecs = [[lanes.unpack(*halves) for halves in zip(rot, refl)] for rot, refl in _h_s(params)]
-    rows = [0] * (2 * m * n)
+    size, half = 2 * m * n, m * n * lanes.bits
+    h_s = _h_s(params)
+    elems = 0  # lane s of flatten(u^a * h * S_j), unreduced, in ring lane (a * w + j) * size + s
+    for a in reversed(range(n)):
+        for rot, refl in reversed(h_s):
+            elems = (elems << 2 * half) | refl[a] << half | rot[a]
+    count = n * w * size
+    if p == 2:  # the low byte of each lane, reduced to its bit 0
+        step = lanes.bits // 8
+        vals = elems.to_bytes(count * step, "little")[::step].translate(_LOW_BIT)
+        cat = b"".join
+    else:
+        vals = [v % p for v in unpack(elems, count, lanes.bits)]
+        cat = lambda parts: sum(parts, [])
+    bits = lane_bits(p, size)
+    move = mover(m, 1, n * w * bits)  # move(x, k): block i of n * w lanes -> block i + k
+    rows = [0] * size
     for l in range(2):
         for r in range(n):
-            slots = [(l * m + (-i) % m) * n + r for i in range(m)]  # slot (l, -i), coord r
-            x = pack([vecs[j][a][s] for a in range(n) for s in slots for j in range(w)], bits)
+            x = pack(cat([vals[(l * m + (-i) % m) * n + r :: size] for i in range(m)]), bits)
             for k in range(m):
-                rows[(l * m + k) * n + r] = move(x, 0, -k)
-    return PackedRows(rows, n * m * w, fld.p)
+                rows[(l * m + k) * n + r] = move(x, k)
+    return PackedRows(rows, m * n * w, p)
 
 
 def _check_ring(params: TwistedParams, *keys: RingElement) -> None:
@@ -343,7 +357,7 @@ def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
     """The replay coefficients {(i, j): c_ij} for target_pk, or None.
 
     Solves system_rows(params) against target_pk with free variables zero;
-    c_ij = sum_a z_(a,i,j) * u^a has the coordinates (z_(a,i,j) for a < n),
+    c_ij = sum_a z_(i,a,j) * u^a has the coordinates (z_(i,a,j) for a < n),
     and the nonzero ones are kept.  None means target_pk is outside the
     span.  For a target g * h * k, such as an honest public key, replay then
     recovers the key recover_shared_key does.  Raises ValueError when
@@ -354,8 +368,9 @@ def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
     if z is None:
         return None
     m, w = params.ctx.m, params.ctx.m // 2 + 1
-    cols = (tuple(z[ij :: m * w]) for ij in range(m * w))
-    return {divmod(ij, w): c for ij, c in enumerate(cols) if any(c)}
+    nw = params.ctx.field.n * w
+    cols = (((i, j), tuple(z[i * nw + j : (i + 1) * nw : w])) for i in range(m) for j in range(w))
+    return {ij: c for ij, c in cols if any(c)}
 
 
 def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:

@@ -435,6 +435,35 @@ def test_gauss_solve_matches_full_reference(system):
     assert got == (None if full is None else full[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 257]),
+    r=st.integers(1, 12),
+    c=st.integers(1, 14),
+    consistent=st.booleans(),
+    data=st.data(),
+)
+def test_packed_solve_ignores_row_order(p, r, c, consistent, data):
+    # the free-variables-zero solution depends only on the pivot columns,
+    # which the row space fixes whatever order its rows come in
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    if consistent:
+        x = data.draw(st.lists(entry, min_size=c, max_size=c))
+        rhs = [sum(a * v for a, v in zip(row, x)) % p for row in rows]
+    else:
+        rhs = data.draw(st.lists(entry, min_size=r, max_size=r))
+    full = gauss_solve_full(rows, rhs, p)
+    want = None if full is None else full[0]
+    if consistent:
+        assert want is not None
+    bits = gf.lane_bits(p, r)
+    for _ in range(3):
+        order = data.draw(st.permutations(range(r)))
+        packed = gf.PackedRows([gf.pack(rows[k], bits) for k in order], c, p)
+        assert gf.gauss_solve_packed(packed, [rhs[k] for k in order]) == want
+
+
 def test_linear_systems_cover_every_lane_width():
     # 1 to 9 rows (8 plus a conflicting one), as linear_systems draws them
     widths = {p: {gf.lane_bits(p, r) for r in range(1, 10)} for p in SOLVE_PRIMES}

@@ -524,6 +524,22 @@ def test_system_rows_shape(p, n, m):
     assert all(v < p for row in unpacked_rows(system) for v in row)
 
 
+def transposed_columns(params):
+    """The rows system_rows should pack, from the generic ring products.
+
+    Column (i, a, j) is u^a times the a = b = 0 product x^i * h * S_j, the
+    first w of each i block of n * w in dense_basis_products.
+    """
+    ctx = params.ctx
+    n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
+    products = dense_basis_products(params)[2]
+    u_pows = [tuple(int(r == a) for r in range(n)) for a in range(n)]
+    columns = [
+        flatten(products[i * n * w + j].scale(u)) for i in range(m) for u in u_pows for j in range(w)
+    ]
+    return list(zip(*columns))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_system_rows_match_transposed_columns(data):
@@ -531,18 +547,18 @@ def test_packed_system_rows_match_transposed_columns(data):
     ctx = params.ctx
     system = system_rows(params)
     rows = unpacked_rows(system)
-    # u^a times the a = b = 0 products x^i * h * S_j, the first w of each i block of n * w
-    n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
-    products = dense_basis_products(params)[2]
-    u_pows = [tuple(int(r == a) for r in range(n)) for a in range(n)]
-    columns = [
-        flatten(products[i * n * w + j].scale(u)) for u in u_pows for i in range(m) for j in range(w)
-    ]
-    assert rows == list(zip(*columns))
+    assert rows == transposed_columns(params)
     # the packed solve returns exactly the list elimination's solution
     target = flatten(draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse"]))))
     full = gauss_solve_full(rows, target, ctx.field.p)
     assert gauss_solve_packed(system, target) == (None if full is None else full[0])
+
+
+def test_system_rows_match_transposed_columns_at_benchmark_shape():
+    # draw_params keeps n <= 3: the benchmark's (2, 4, 6) reads 16 elements
+    # of 48 ring lanes each and wraps the slot index (-i) mod 6
+    params = fixed_params(2, 4, 6)
+    assert unpacked_rows(system_rows(params)) == transposed_columns(params)
 
 
 def test_attack_system_size_cap(monkeypatch):
