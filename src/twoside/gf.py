@@ -82,39 +82,27 @@ def _pmul(a, b, p) -> Tuple[int, ...]:
     return _trim([v % p for v in out])
 
 
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _pmod(a, b, p) -> Tuple[int, ...]:
     a = list(a)
     inv_lead = pow(b[-1], -1, p)
     deg_b = len(b) - 1
-    quot = [0] * max(len(a) - deg_b, 0)
     for i in range(len(a) - 1, deg_b - 1, -1):
         f = (a[i] * inv_lead) % p
         if f:
-            quot[i - deg_b] = f
             for j, bv in enumerate(b):
                 a[i - deg_b + j] = (a[i - deg_b + j] - f * bv) % p
-    return _trim(quot), _trim(a)
+    return _trim(a)
 
 
-def _pmod(a, b, p) -> Tuple[int, ...]:
-    return _pdivmod(a, b, p)[1]
-
-
-def _pextgcd(a, b, p):
-    """(g, s) with s*a == g modulo b, g the monic gcd of a and b."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = (1,), ()
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        r0 = tuple((v * inv) % p for v in r0)
-        s0 = tuple((v * inv) % p for v in s0)
-    return r0, s0
+def _pgcd(a, b, p):
+    """The monic gcd of a and b."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _pmod(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = tuple((v * inv) % p for v in a)
+    return a
 
 
 def _ppowmod(base, e: int, mod, p) -> Tuple[int, ...]:
@@ -144,7 +132,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     if _psub(frob[deg], x, p):
         return False
     for q in _prime_factors(deg):
-        if _pextgcd(_psub(frob[deg // q], x, p), poly, p)[0] != (1,):
+        if _pgcd(_psub(frob[deg // q], x, p), poly, p) != (1,):
             return False
     return True
 
@@ -284,11 +272,6 @@ def f_add(ctx: FieldCtx, a, b) -> tuple:
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def f_sub(ctx: FieldCtx, a, b) -> tuple:
-    p = ctx.p
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
 # Bounded so long campaigns over many fresh fields do not grow it without
 # limit; one attack at the size cap touches far fewer distinct products.
 @lru_cache(maxsize=1 << 16)
@@ -299,19 +282,10 @@ def f_mul(ctx: FieldCtx, a, b) -> tuple:
     return _pad_to(_pmod(_pmul(a, b, p), ctx.modulus, p), n)
 
 
-def f_inv(ctx: FieldCtx, a) -> tuple:
-    if not any(a):
-        raise ZeroDivisionError("inverse of zero in the field")
-    g, s = _pextgcd(_trim(a), ctx.modulus, ctx.p)
-    if g != (1,):
-        raise ValueError("element shares a factor with the modulus")
-    return _pad_to(s, ctx.n)
-
-
 def f_pow(ctx: FieldCtx, a, e: int) -> tuple:
+    """a^e for e >= 0."""
     if e < 0:
-        a = f_inv(ctx, a)
-        e = -e
+        raise ValueError("negative exponent")
     return _pad_to(_ppowmod(_trim(a), e, ctx.modulus, ctx.p), ctx.n)
 
 

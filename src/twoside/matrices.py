@@ -72,19 +72,6 @@ class SemiringMatrix:
         return f"SemiringMatrix({[list(r) for r in self.rows]!r})"
 
 
-def zeros(sr: Semiring, n: int) -> SemiringMatrix:
-    return SemiringMatrix(sr, tuple((sr.zero,) * n for _ in range(n)))
-
-
-def identity(sr: Semiring, n: int) -> SemiringMatrix:
-    return SemiringMatrix(
-        sr,
-        tuple(
-            tuple(sr.one if i == j else sr.zero for j in range(n)) for i in range(n)
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class Circulant:
     """Circulant matrix given by its first column c_0..c_{n-1}."""

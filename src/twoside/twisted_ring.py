@@ -5,10 +5,11 @@ Group elements x^i y^k of <x, y | x^m = y^2 = 1, y x^a = x^{m-a} y> are
 coefficient per group element.  Multiplying (a x^i y) by (b x^j y^k) picks up
 the twist factor tau^j, where tau is the highest-order root of unity in the
 field whose order divides m.  That divisibility is exactly what makes the
-twist a 2-cocycle, hence the ring associative: any unit of larger order
-breaks the cocycle identity on pairs of rotations whose exponents wrap past
-m.  tau is derived canonically from the field generator t as
-t^((p^n - 1) / gcd(m, p^n - 1)).
+ring associative: any unit of larger order breaks associativity on products
+whose rotation exponents wrap past m.  tau is derived canonically from the
+field generator t as t^((p^n - 1) / gcd(m, p^n - 1)).  The group law and
+the twist factor as functions of two group elements are written out in
+tests/helpers.py, which checks the axioms they satisfy.
 
 The adjoint rescales the x^i y^k coefficient by tau^{-i}.  On elements of the
 symmetric reflection subspace (coefficients equal at x^j y and x^{m-j} y) the
@@ -32,7 +33,6 @@ from .gf import (
     f_add,
     f_mul,
     f_pow,
-    f_sub,
     field_from_json,
     field_to_json,
     lane_width,
@@ -43,23 +43,6 @@ from .gf import (
 )
 
 MAX_M = 64  # dense coefficient storage; enough for every desk-scale group here
-
-DIHEDRAL_IDENTITY = (0, 0)
-
-
-def dihedral_mul(m: int, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-    """Group law on (rotation exponent, reflection bit) pairs."""
-    i, k = a
-    j, l = b
-    if k:
-        return ((i - j) % m, 1 - l)
-    return ((i + j) % m, l)
-
-
-def dihedral_inv(m: int, a: Tuple[int, int]) -> Tuple[int, int]:
-    i, k = a
-    return a if k else ((-i) % m, 0)
-
 
 class RingLanes(NamedTuple):
     """A ring element as two ints of F_p lanes: its rotation and reflection halves.
@@ -126,7 +109,6 @@ class RingCtx:
 
     field: FieldCtx
     m: int
-    twist: tuple
     twist_pows: tuple  # tau^0 .. tau^{m-1}; tau^m = 1, so tau^{-e} is twist_pows[-e]
     lanes: RingLanes = field(compare=False, repr=False)  # follows from field and m
 
@@ -142,18 +124,7 @@ def make_ring_ctx(fld: FieldCtx, m: int) -> RingCtx:
     units = fld.order - 1
     d = math.gcd(m, units)
     tau = f_pow(fld, fld.t, units // d)
-    return RingCtx(fld, m, tau, tuple(powers(fld, tau, m)), _ring_lanes(fld, m))
-
-
-def cocycle(ctx: RingCtx, g: Tuple[int, int], h: Tuple[int, int]) -> tuple:
-    """Twist unit attached to the product of basis elements g and h.
-
-    Trivial unless g carries the reflection; then it is tau to the rotation
-    exponent of h.  Both cocycle axioms hold because tau^m == 1.
-    """
-    if g[1]:
-        return ctx.twist_pows[h[0] % ctx.m]
-    return ctx.field.one
+    return RingCtx(fld, m, tuple(powers(fld, tau, m)), _ring_lanes(fld, m))
 
 
 @dataclass(frozen=True)
@@ -174,24 +145,6 @@ class RingElement:
     def zero(cls, ctx: RingCtx) -> "RingElement":
         return cls(ctx, ((ctx.field.zero),) * ctx.group_size)
 
-    @classmethod
-    def one(cls, ctx: RingCtx) -> "RingElement":
-        return cls.single(ctx, 0, 0, ctx.field.one)
-
-    @classmethod
-    def single(cls, ctx: RingCtx, i: int, k: int, coeff=None) -> "RingElement":
-        """c * x^i y^k as a ring element; coeff defaults to the field one."""
-        if not (0 <= i < ctx.m and k in (0, 1)):
-            raise ValueError("group index out of range")
-        if coeff is None:
-            coeff = ctx.field.one
-        coeffs = [ctx.field.zero] * ctx.group_size
-        coeffs[i + ctx.m * k] = tuple(coeff)
-        return cls(ctx, tuple(coeffs))
-
-    def coeff(self, i: int, k: int) -> tuple:
-        return self.coeffs[i % self.ctx.m + self.ctx.m * k]
-
     def _require_same(self, other: "RingElement") -> None:
         if self.ctx != other.ctx:
             raise ValueError("ring context mismatch")
@@ -202,14 +155,6 @@ class RingElement:
         return RingElement(
             self.ctx,
             tuple(f_add(fld, a, b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._require_same(other)
-        fld = self.ctx.field
-        return RingElement(
-            self.ctx,
-            tuple(f_sub(fld, a, b) for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def __mul__(self, other: "RingElement") -> "RingElement":
@@ -261,18 +206,6 @@ class RingElement:
                 out[idx] = f_mul(fld, c, pows[-i])
         return RingElement(ctx, tuple(out))
 
-    def rotation_part(self) -> "RingElement":
-        """Projection onto the span of the x^i (the commuting half)."""
-        m = self.ctx.m
-        zero = self.ctx.field.zero
-        return RingElement(self.ctx, self.coeffs[:m] + (zero,) * m)
-
-    def reflection_part(self) -> "RingElement":
-        """Projection onto the span of the x^i y."""
-        m = self.ctx.m
-        zero = self.ctx.field.zero
-        return RingElement(self.ctx, (zero,) * m + self.coeffs[m:])
-
     def __repr__(self) -> str:
         terms = []
         m = self.ctx.m
@@ -323,11 +256,6 @@ def basis_r1(ctx: RingCtx) -> Tuple[RingElement, ...]:
     return _orbit_basis(ctx, 0, _rotation_orbits(ctx.m))
 
 
-def basis_a1(ctx: RingCtx) -> Tuple[RingElement, ...]:
-    """Symmetric subspace of the rotation half: t^a (x^j + x^{m-j})."""
-    return _orbit_basis(ctx, 0, _symmetric_orbits(ctx.m))
-
-
 def basis_a2(ctx: RingCtx) -> Tuple[RingElement, ...]:
     """Symmetric subspace of the reflection half; the right-factor key space."""
     return _orbit_basis(ctx, 1, _symmetric_orbits(ctx.m))
@@ -355,11 +283,6 @@ def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbits: list) -> RingEleme
 def sample_r1(ctx: RingCtx, rng: Random) -> RingElement:
     """Uniform element of the rotation subring, drawn as over basis_r1."""
     return _sample_orbits(ctx, rng, 0, _rotation_orbits(ctx.m))
-
-
-def sample_a1(ctx: RingCtx, rng: Random) -> RingElement:
-    """Uniform element of the symmetric rotation subspace, drawn as over basis_a1."""
-    return _sample_orbits(ctx, rng, 0, _symmetric_orbits(ctx.m))
 
 
 def sample_a2(ctx: RingCtx, rng: Random) -> RingElement:

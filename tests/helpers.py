@@ -9,16 +9,9 @@ import itertools
 from random import Random
 
 from twoside.digital import W, digit_sum, w_add, w_mul
-from twoside.gf import FieldCtx, f_mul, make_field_ctx
-from twoside.matrices import zeros
-from twoside.twisted_ring import (
-    RingCtx,
-    RingElement,
-    basis_a2,
-    basis_r1,
-    cocycle,
-    dihedral_mul,
-)
+from twoside.gf import FieldCtx, make_field_ctx
+from twoside.matrices import SemiringMatrix
+from twoside.twisted_ring import RingCtx, RingElement, basis_a2, basis_r1
 
 # the twisted acceptance grid: (p, extension degree, dihedral m)
 TWISTED_GRID = [(2, 2, 3), (3, 2, 4), (5, 1, 6), (2, 3, 5), (7, 1, 8)]
@@ -84,6 +77,14 @@ def naive_mat_mul(sr, a_rows, b_rows):
     return out
 
 
+def zeros(sr, n):
+    return SemiringMatrix(sr, [[sr.zero] * n for _ in range(n)])
+
+
+def identity(sr, n):
+    return SemiringMatrix(sr, [[sr.one if i == j else sr.zero for j in range(n)] for i in range(n)])
+
+
 def mat_rows(mat):
     return [list(row) for row in mat.rows]
 
@@ -128,33 +129,64 @@ class _BoolSemiring:
 BOOL_OR_AND = _BoolSemiring()
 
 
-# -- twisted ring oracle -------------------------------------------------------
+# -- twisted ring oracles ------------------------------------------------------
+
+
+def dihedral_mul(m: int, g, h):
+    """Group law on (rotation exponent, reflection bit) pairs:
+    x^i y^k * x^j y^l = x^(i + j) y^l, or x^(i - j) y^(1 - l) when k = 1."""
+    (i, k), (j, l) = g, h
+    return ((i - j if k else i + j) % m, k ^ l)
+
+
+def cocycle(ctx: RingCtx, g, h) -> tuple:
+    """Twist unit of the product of basis elements g and h: tau^j when g
+    carries the reflection and h = x^j y^l, the field one otherwise."""
+    return ctx.twist_pows[h[0] % ctx.m] if g[1] else ctx.field.one
+
+
+def single(ctx: RingCtx, i: int, k: int, coeff=None) -> RingElement:
+    """coeff * x^i y^k; coeff defaults to the field one."""
+    coeffs = [ctx.field.zero] * ctx.group_size
+    coeffs[i + ctx.m * k] = ctx.field.one if coeff is None else tuple(coeff)
+    return RingElement(ctx, tuple(coeffs))
+
+
+def ring_one(ctx: RingCtx) -> RingElement:
+    return single(ctx, 0, 0)
+
+
+def basis_a1(ctx: RingCtx):
+    """t^a (x^j + x^(m-j)) for a < n (outer) and 0 <= j <= m/2: the symmetric
+    subspace of the rotation half, in the library's basis order."""
+    fld, m = ctx.field, ctx.m
+    out = []
+    tp = fld.one
+    for _ in range(fld.n):
+        for j in range(m // 2 + 1):
+            coeffs = [fld.zero] * ctx.group_size
+            coeffs[j] = coeffs[-j % m] = tp
+            out.append(RingElement(ctx, tuple(coeffs)))
+        tp = schoolbook_mul(fld, tp, fld.t)
+    return out
 
 
 def naive_ring_mul(a: RingElement, b: RingElement) -> RingElement:
     """Multiply via the full 2m x 2m basis table: coefficients times cocycle."""
     ctx = a.ctx
-    m = ctx.m
-    fld = ctx.field
-    table = {}
-    for i, k in itertools.product(range(m), (0, 1)):
-        ca = a.coeff(i, k)
-        if ca == fld.zero:
+    m, fld = ctx.m, ctx.field
+    group = [(i, k) for k in (0, 1) for i in range(m)]  # the order of coeffs
+    out = [fld.zero] * ctx.group_size
+    for g, ca in zip(group, a.coeffs):
+        if not any(ca):
             continue
-        for j, l in itertools.product(range(m), (0, 1)):
-            cb = b.coeff(j, l)
-            if cb == fld.zero:
+        for h, cb in zip(group, b.coeffs):
+            if not any(cb):
                 continue
-            g = dihedral_mul(m, (i, k), (j, l))
-            c = f_mul(fld, f_mul(fld, ca, cb), cocycle(ctx, (i, k), (j, l)))
-            prev = table.get(g, fld.zero)
-            table[g] = tuple(
-                (x + y) % fld.p for x, y in zip(prev, c)
-            )
-    coeffs = [fld.zero] * (2 * m)
-    for (i, k), c in table.items():
-        coeffs[i + m * k] = c
-    return RingElement(ctx, tuple(coeffs))
+            i, k = dihedral_mul(m, g, h)
+            c = schoolbook_mul(fld, schoolbook_mul(fld, ca, cb), cocycle(ctx, g, h))
+            out[i + m * k] = tuple((x + y) % fld.p for x, y in zip(out[i + m * k], c))
+    return RingElement(ctx, tuple(out))
 
 
 def dense_basis_products(params):

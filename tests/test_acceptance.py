@@ -24,21 +24,17 @@ from twoside.twisted_kex import attack_system
 from twoside.twisted_kex import random_params as twisted_random_params
 from twoside.twisted_kex import recover_shared_key as twisted_recover
 from twoside.twisted_kex import run_exchange as twisted_run_exchange
-from twoside.twisted_ring import (
-    cocycle,
-    dihedral_mul,
-    make_ring_ctx,
-    sample_a1,
-    sample_a2,
-    sample_element,
-    sample_r1,
-)
+from twoside.twisted_ring import make_ring_ctx, sample_a2, sample_element, sample_r1
 
 from helpers import (
     DIGITAL_SIZES,
     TWISTED_GRID,
+    basis_a1,
+    cocycle,
+    dihedral_mul,
     make_test_field,
     random_digit_tie_pair,
+    sample_span,
     w_dot,
 )
 
@@ -279,8 +275,9 @@ def test_criterion_4_algebra_axiom_suites(capsys):
                 h1, h2 = sample_a2(ctx, rng), sample_a2(ctx, rng)
                 assert h1 * h2.adjoint() == h2 * h1.adjoint()
                 assert h1.adjoint() * h2 == h2.adjoint() * h1
+            a1_basis = basis_a1(ctx)
             for _ in range(per_point):
-                a1, a2 = sample_a1(ctx, rng), sample_a2(ctx, rng)
+                a1, a2 = sample_span(a1_basis, ctx, rng), sample_a2(ctx, rng)
                 assert a1 * a2 == a2 * a1.adjoint()
 
     run_criterion(

@@ -37,18 +37,18 @@ from twoside.matrices import (
     circulant_generators,
     flatten_two_sided,
     circulant_to_json,
-    identity,
     matrix_to_json,
-    zeros,
 )
 
 from helpers import (
     BOOL_OR_AND,
     dense_replay,
+    identity,
     mat_rows,
     naive_mat_mul,
     random_digit_tie_pair,
     w_dot,
+    zeros,
 )
 
 

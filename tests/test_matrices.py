@@ -14,13 +14,11 @@ from twoside.matrices import (
     circulant_generators,
     circulant_to_json,
     flatten_two_sided,
-    identity,
     matrix_from_json,
     matrix_to_json,
-    zeros,
 )
 
-from helpers import BOOL_OR_AND, mat_rows, naive_mat_mul
+from helpers import BOOL_OR_AND, identity, mat_rows, naive_mat_mul, zeros
 
 w_values = st.one_of(st.integers(min_value=0, max_value=10**6), st.just(INF))
 
