@@ -105,15 +105,90 @@ def _pgcd(a, b, p):
     return a
 
 
-def _ppowmod(base, e: int, mod, p) -> Tuple[int, ...]:
-    result = (1,)
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
+class _Kronecker:
+    """F_p[u] modulo a monic f of degree n, an element packed into one int.
+
+    Coefficient r of an element sits in lane r, bits wide, below p
+    (Kronecker substitution: von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4).  A product is one int multiply, which leaves 2n - 1
+    lanes of at most n (p - 1)^2.  Each lane k >= n is folded back as that
+    lane times u^k mod f, one multiply-add each, so every lane then holds
+    at most bound = n (p - 1)^2 (1 + (n - 1)(p - 1)).  All lanes are reduced
+    mod p at once by Barrett's method (CRYPTO '86): for v < 2^B, with
+    B = bitlen(bound), s = B + bitlen(p) and M = ceil(2^s / p), (v M) >> s
+    is exactly v // p, since v (M - 2^s / p) < 2^(B - s + bitlen(p)) / p <= 1/p.
+    A lane holds (2^B - 1) M, so the lanes of x M never carry into each
+    other and each quotient reads out below the next lane's low s bits.
+    f need only be monic: Rabin's test runs on candidates that are not
+    irreducible.
+    """
+
+    __slots__ = ("p", "n", "bits", "lane", "low", "folds", "m", "s", "qmask")
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        n = len(modulus) - 1
+        bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+        s = bound.bit_length() + p.bit_length()
+        m = -(-(1 << s) // p)
+        bits = lane_width(((1 << bound.bit_length()) - 1) * m)
+        self.p, self.n, self.bits, self.m, self.s = p, n, bits, m, s
+        self.lane = (1 << bits) - 1
+        self.low = (1 << n * bits) - 1
+        self.qmask = self.low // self.lane * ((1 << bits - s) - 1)
+        # (shift of lane k, u^k mod f) for k = n .. 2n - 2: u^n = -(f_0 + .. + f_{n-1} u^{n-1}),
+        # and u times a reduced element shifts it up one lane, its top lane times u^n
+        top = (n - 1) * bits
+        neg = power = pack([-c % p for c in modulus[:n]], bits)
+        self.folds = []
+        for k in range(n, 2 * n - 1):
+            self.folds.append((k * bits, power))
+            power = self.reduce(((power & ((1 << top) - 1)) << bits) + (power >> top) * neg)
+
+    def pack(self, coeffs) -> int:
+        """The element with these coefficients (at most n), each taken mod p."""
+        return pack([c % self.p for c in coeffs], self.bits)
+
+    def unpack(self, x: int) -> tuple:
+        """The n coefficients of x."""
+        return tuple(unpack(x, self.n, self.bits))
+
+    def reduce(self, x: int) -> int:
+        """x with every lane, at most 2^bitlen(bound) - 1, reduced mod p."""
+        return x - self.p * (((x * self.m) >> self.s) & self.qmask)
+
+    def mul(self, x: int, y: int) -> int:
+        z = x * y
+        low = z & self.low
+        for shift, fold in self.folds:
+            low += ((z >> shift) & self.lane) * fold
+        return self.reduce(low)
+
+    def pow(self, x: int, e: int) -> int:
+        """x^e for e >= 0, by left-to-right square and multiply."""
+        if not e:
+            return 1
+        mul, r = self.mul, x
+        for bit in bin(e)[3:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(r, x)
+        return r
+
+    def generates(self, t) -> bool:
+        """Whether t has order p^n - 1: t^(p^n - 1) == 1 and t^((p^n - 1)/q) != 1
+        for every prime q dividing p^n - 1.
+
+        Then F_p[u] / f has p^n - 1 units, so it is a field: the test also
+        proves f irreducible.
+        """
+        order = self.p**self.n - 1
+        x = self.pack(t)
+        s, q = x, 1  # s^q is x^order, also when order is 1 and has no prime factor
+        for q in _prime_factors(order):
+            s = self.pow(x, order // q)
+            if s == 1:
+                return False
+        return self.pow(s, q) == 1
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -124,15 +199,16 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     deg = len(poly) - 1
     if deg == 1:
         return True
-    x = (0, 1)
-    # x^(p^k) mod poly via iterated Frobenius
-    frob = {1: _ppowmod(x, p, poly, p)}
-    for k in range(2, deg + 1):
-        frob[k] = _ppowmod(frob[k - 1], p, poly, p)
-    if _psub(frob[deg], x, p):
+    kernel = _Kronecker(p, poly)
+    x = kernel.pack((0, 1))
+    # x^(p^k) mod poly for k = 0 .. deg via iterated Frobenius
+    frob = [x]
+    for _ in range(deg):
+        frob.append(kernel.pow(frob[-1], p))
+    if frob[deg] != x:
         return False
     for q in _prime_factors(deg):
-        if _pgcd(_psub(frob[deg // q], x, p), poly, p) != (1,):
+        if _pgcd(_psub(kernel.unpack(frob[deg // q]), (0, 1), p), poly, p) != (1,):
             return False
     return True
 
@@ -148,23 +224,9 @@ def find_irreducible(p: int, n: int, rng: Random) -> Tuple[int, ...]:
 
 
 def _is_primitive(t, modulus, p: int, n: int) -> bool:
-    """Whether the length-n vector t has order p^n - 1 in F_p[u] / modulus:
-    t^(p^n - 1) == 1 and t^((p^n - 1)/q) != 1 for every prime q dividing it.
-
-    Then that ring has p^n - 1 units, so it is a field: the test also
-    proves a monic degree-n modulus irreducible.
-    """
-    order = p**n - 1
-    t = _trim(t)
-    if order == 1:
-        return t == (1,)
-    if not t:
-        return False
-    for q in _prime_factors(order):
-        s = _ppowmod(t, order // q, modulus, p)
-        if s == (1,):
-            return False
-    return _ppowmod(s, q, modulus, p) == (1,)  # t^order
+    """Whether the length-n vector t has order p^n - 1 in F_p[u] / modulus,
+    for a monic modulus of degree n; see _Kronecker.generates."""
+    return _Kronecker(p, modulus).generates(t)
 
 
 def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
@@ -172,12 +234,12 @@ def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
 
     Draws n values per candidate and skips zero; F_2 has only 1 and draws nothing.
     """
-    modulus = _trim(modulus)
     if p**n == 2:
         return (1,)
+    kernel = _Kronecker(p, _trim(modulus))
     while True:
         cand = tuple(rng.randrange(p) for _ in range(n))
-        if _is_primitive(cand, modulus, p, n):
+        if kernel.generates(cand):
             return cand
 
 
@@ -207,9 +269,10 @@ class FieldCtx:
         modulus, t = self.modulus, self.t
         monic = len(modulus) == n + 1 and modulus[-1] == 1
         reduced = all(0 <= c < p for c in modulus) and all(0 <= c < p for c in t)
-        # a t of order p^n - 1 proves the modulus irreducible (_is_primitive);
+        # a t of order p^n - 1 proves the modulus irreducible (_Kronecker.generates);
         # only a rejection runs the checks in order, for the first failure
-        if not (monic and reduced and len(t) == n and _is_primitive(t, modulus, p, n)):
+        kernel = _Kronecker(p, modulus) if monic and reduced else None
+        if not (kernel and len(t) == n and kernel.generates(t)):
             if not monic:
                 raise ValueError("modulus must be monic of degree n")
             if any(not (0 <= c < p) for c in modulus):
@@ -223,6 +286,8 @@ class FieldCtx:
         object.__setattr__(self, "_one", (1,) + (0,) * (n - 1))
         # f_mul is cached on the context: hash the fields once
         object.__setattr__(self, "_hash", hash((p, n, self.modulus, self.t)))
+        # f_pow, and so the twist root of every ring over this field, runs on it
+        object.__setattr__(self, "_kernel", kernel)
 
     def __hash__(self) -> int:
         return self._hash
@@ -286,7 +351,8 @@ def f_pow(ctx: FieldCtx, a, e: int) -> tuple:
     """a^e for e >= 0."""
     if e < 0:
         raise ValueError("negative exponent")
-    return _pad_to(_ppowmod(_trim(a), e, ctx.modulus, ctx.p), ctx.n)
+    kernel = ctx._kernel
+    return kernel.unpack(kernel.pow(kernel.pack(a), e))
 
 
 def powers(ctx: FieldCtx, a, count: int) -> list:
@@ -419,6 +485,13 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # array type codes by lane width; a width without one packs through bytes
 _LANE_CODES = {array(code).itemsize * 8: code for code in "HIQ"}
+# Lanes divisible by p that _eliminate_fp's lead walk skips one at a time
+# before it reduces the row mod p.  An unreduced lane is divisible by p about
+# once in p, so a live row meets k of them in a row with probability about
+# p^-k (3^-8 < 2e-4).  Reducing at the first or second one made the (5,2,12)
+# and (3,8,4) attack solves 1.7-3x slower; runs of 4 to 16 timed within noise
+# of never reducing.
+_MOD_P_RUN = 8
 
 
 def lane_width(bound: int) -> int:
@@ -555,6 +628,7 @@ def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
 
     def file(col: int, v: int) -> bool:
         """File v, whose lane 0 is lane col; False when it reads 0 = b, b != 0."""
+        divisible = 0
         while v:
             lane = v & mask
             if lane % p:
@@ -562,8 +636,17 @@ def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
                     return False
                 by_lead.setdefault(col, []).append(v)
                 return True
-            # skip a lane divisible by p, or a run of zero lanes
-            skip = 1 if lane else ((v & -v).bit_length() - 1) // bits
+            if lane:
+                # a lane divisible by p is skipped alone; after _MOD_P_RUN of them
+                # the whole row is reduced mod p once, which zeroes every such lane,
+                # so a row made dependent costs one pass, not one shift per lane
+                divisible += 1
+                if divisible == _MOD_P_RUN:
+                    v = pack([x % p for x in unpack(v, c + 1 - col, bits)], bits)
+                    continue
+                skip = 1
+            else:  # a run of zero lanes
+                skip = ((v & -v).bit_length() - 1) // bits
             v >>= skip * bits
             col += skip
         return True

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,8 +212,10 @@ def test_inverses():
 
 
 # one field per shape of the polynomial core: degree 8, 5, 4 and 2 over small
-# and medium primes, and the degree-1 fast path at the largest prime
-DIFFERENTIAL_FIELDS = [(2, 8), (3, 5), (5, 4), (257, 2), (65521, 1)]
+# and medium primes, and f_mul's degree-1 fast path at the largest prime; f_pow's lanes
+# are 16 bits wide at (2, 8), 32 at (3, 5), 64 at (31, 4) with three folds,
+# 64 at (1021, 2) with 63 of them used, and 128 at (65521, 1)
+DIFFERENTIAL_FIELDS = [(2, 8), (3, 5), (5, 4), (257, 2), (65521, 1), (1021, 2), (31, 4)]
 
 
 @pytest.mark.parametrize("p,n", DIFFERENTIAL_FIELDS)
@@ -228,6 +232,86 @@ def test_field_core_matches_schoolbook_oracle(p, n):
     for a in sample:
         for e in exponents:
             assert f_pow(fld, a, e) == schoolbook_pow(fld, a, e)
+
+
+class QuotientRing(NamedTuple):
+    """What schoolbook_mul reads of a field, for a monic modulus that need not
+    be irreducible."""
+
+    p: int
+    n: int
+    modulus: tuple
+
+
+# every n under MAX_ORDER and MAX_DEGREE for each p: the kernel's lanes are
+# 16 bits wide at p = 2 and at (3, 1..4), 32 at (3, 5..8) and (31, 1), 64 at
+# (31, 2..4), 257 and 1021 ((1021, 2) fills 63 of the 64 bits), 128 at 65521
+KERNEL_FIELDS = [
+    (p, n)
+    for p in (2, 3, 31, 257, 1021, 65521)
+    for n in range(1, gf.MAX_DEGREE + 1)
+    if p**n <= gf.MAX_ORDER
+]
+
+
+@pytest.mark.parametrize("p,n", KERNEL_FIELDS)
+def test_packed_powers_match_schoolbook_on_any_monic_modulus(p, n):
+    rng = Random(p * 10 + n)
+    top = (p - 1,) * n
+    moduli = [top + (1,)] + [tuple(rng.randrange(p) for _ in range(n)) + (1,) for _ in range(4)]
+    q = p**n
+    exponents = [0, 1, 2, 3, p, q - 2, q - 1, q, rng.randrange(q * q), (1 << 70) + 9]
+    for modulus in moduli:
+        ring = QuotientRing(p, n, modulus)
+        kernel = gf._Kronecker(p, modulus)
+        bases = [top, (0,) * n, (1,) + (0,) * (n - 1)]
+        bases += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]
+        for a in bases:
+            x = kernel.pack(a)
+            for e in exponents:
+                assert kernel.unpack(kernel.pow(x, e)) == schoolbook_pow(ring, a, e)
+            for b in bases:
+                assert kernel.unpack(kernel.mul(x, kernel.pack(b))) == schoolbook_mul(ring, a, b)
+
+
+@pytest.mark.parametrize("p,n", KERNEL_FIELDS)
+def test_lanewise_reduction_is_mod_p_up_to_the_bound(p, n):
+    kernel = gf._Kronecker(p, (p - 1,) * n + (1,))
+    bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))  # the largest lane after the fold
+    values = [0, p - 1, p, bound - 1, bound]
+    for k in range(len(values)):
+        lanes = [values[(k + r) % len(values)] for r in range(n)]
+        reduced = kernel.reduce(gf.pack(lanes, kernel.bits))
+        assert list(gf.unpack(reduced, n, kernel.bits)) == [v % p for v in lanes]
+
+
+def test_field_powers_never_reach_the_schoolbook_product(monkeypatch):
+    # the order test, tau's f_pow and Rabin's Frobenius powers all run on the
+    # packed kernel; only f_mul and nothing in FieldCtx reads _pmul
+    def refuse(*args):
+        raise AssertionError("schoolbook polynomial product")
+
+    monkeypatch.setattr(gf, "_pmul", refuse)
+    fld = make_test_field(3, 4)
+    p, n, modulus, t = fld.p, fld.n, fld.modulus, fld.t
+    assert FieldCtx(p, n, modulus, t) == fld
+    assert f_pow(fld, t, fld.order - 1) == fld.one
+    assert make_field_ctx(p, n, 5) == make_field_ctx(p, n, Random(5))
+    assert make_field_ctx(2, 8, 2).modulus == DRAWS[2, 8, 2][0]
+    rejections = [
+        ((4, n, modulus, t), "prime below 2"),
+        ((p, 9, modulus, t), "extension degree"),
+        ((1021, 3, (0, 0, 0, 1), (1, 0, 0)), "desk-scale cap"),
+        ((p, n, modulus[:-1] + (2,), t), "monic"),
+        ((p, n, (p,) + modulus[1:], t), "reduced mod p"),
+        ((p, n, (1, 0, 2, 0, 1), t), "reducible"),  # (u^2 + 1)^2 over F_3
+        ((p, n, modulus, t + (0,)), "length-n"),
+        ((p, n, modulus, (p,) + t[1:]), "length-n"),
+        ((p, n, modulus, fld.one), "generate"),
+    ]
+    for args, message in rejections:
+        with pytest.raises(ValueError, match=message):
+            FieldCtx(*args)
 
 
 def test_pow_negative_exponent():
@@ -450,6 +534,55 @@ def test_packed_solve_ignores_row_order(p, r, c, consistent, data):
         order = data.draw(st.permutations(range(r)))
         packed = gf.PackedRows([gf.pack(rows[k], bits) for k in order], c, p)
         assert gf.gauss_solve_packed(packed, [rhs[k] for k in order]) == want
+
+
+def count_lines(code, call):
+    """(call(), the number of lines run in frames of code while it ran)."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
+
+def lead_walk_code():
+    """The code of _eliminate_fp's nested lead walk."""
+    (code,) = [c for c in gf._eliminate_fp.__code__.co_consts if getattr(c, "co_name", "") == "file"]
+    return code
+
+
+@pytest.mark.parametrize("p", [3, 1021, 65521])
+def test_lead_walk_of_a_dependent_row_is_bounded(p):
+    # eliminating the first row leaves every lane of the second equal to p:
+    # skipped one at a time, that is one shift of the whole row per lane,
+    # over 6000 lines here; reduced mod p after a few, the row reads zero
+    rows = [[p - 1] * 1000] * 2
+    got, lines = count_lines(lead_walk_code(), lambda: gauss_solve(rows, [1, 1], p))
+    assert got == gauss_solve_full(rows, [1, 1], p)[0]
+    assert lines < 200
+
+
+@pytest.mark.parametrize("p", [3, 5, 257, 65521])
+@pytest.mark.parametrize("late", [0, 1])
+@pytest.mark.parametrize("rhs", [(1, 1), (1, 2)])
+def test_lead_walk_reduction_keeps_the_solution(p, late, rhs):
+    # the second row is the first plus `late` in the last column: after the
+    # mod-p pass it is filed under that column, or it reads 0 = b
+    c = 40
+    first = [p - 1] * c
+    rows = [first, first[:-1] + [p - 1 + late]]
+    full = gauss_solve_full(rows, list(rhs), p)
+    assert gauss_solve(rows, list(rhs), p) == (None if full is None else full[0])
+    assert (full is None) == (not late and rhs[0] != rhs[1])
 
 
 def test_linear_systems_cover_every_lane_width():
