@@ -9,7 +9,7 @@ so a passive adversary recovers it by solving one linear system; this
 package implements the protocols, the solvers, and the attacks.
 """
 
-from .digital import INF, W, digit_sum, w_add, w_leq, w_max_component, w_mul
+from .digital import INF, W, digit_sum, order_key, w_add, w_leq, w_max_component, w_mul
 from .errors import AttackError
 from .gf import FieldCtx, gauss_solve, make_field_ctx
 from .matrices import Circulant, SemiringMatrix, circulant_generators
@@ -37,6 +37,7 @@ __all__ = [
     "make_field_ctx",
     "make_ring_ctx",
     "maximal_solution",
+    "order_key",
     "w_add",
     "w_leq",
     "w_max_component",

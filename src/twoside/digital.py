@@ -26,38 +26,49 @@ INF = math.inf
 MAX_FINITE = 2**64 - 1
 
 
-# Bounded so long attack campaigns do not grow it without limit.  One digital
-# attack touches about 3 n^2 distinct values, which fits for n <= 32.
-@lru_cache(maxsize=4096)
+# Maps the ASCII digits b"0".."9" to the byte values 0..9.
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def digit_sum(a):
     """Base-10 digit sum; infinity maps to a sentinel above every finite sum."""
     if a == INF:
         return INF
-    return sum(map(int, str(a)))
+    if a < 0:
+        raise ValueError(f"not a value of W: {a!r}")
+    return sum(str(a).encode().translate(_DIGITS))
+
+
+# Bounded so long attack campaigns do not grow it without limit.  One digital
+# attack touches about 3 n^2 distinct values, which fits for n <= 32.
+@lru_cache(maxsize=4096)
+def order_key(v):
+    """W's order as one int: digit_sum(v) << 64 | v, and INF for INF.
+
+    A finite value is below 2^64, so the keys sort exactly as (digit sum,
+    value).  This is the one place the order is written; every comparison
+    of W goes through it.  A value outside 0..MAX_FINITE raises ValueError.
+    """
+    if v == INF:
+        return INF
+    if not 0 <= v <= MAX_FINITE:
+        raise ValueError(f"not a value of W: {v!r}")
+    return digit_sum(v) << 64 | v
 
 
 def w_add(a, b):
     """Keep the operand with the larger digit sum, numeric max on ties."""
-    da, db = digit_sum(a), digit_sum(b)
-    if da != db:
-        return a if da > db else b
-    return a if a >= b else b
+    return a if order_key(a) >= order_key(b) else b
 
 
 def w_mul(a, b):
     """Keep the operand with the smaller digit sum, numeric min on ties."""
-    da, db = digit_sum(a), digit_sum(b)
-    if da != db:
-        return a if da < db else b
-    return a if a <= b else b
+    return a if order_key(a) <= order_key(b) else b
 
 
 def w_leq(a, b) -> bool:
     """Induced order: a <= b iff w_add(a, b) == b."""
-    da, db = digit_sum(a), digit_sum(b)
-    if da != db:
-        return da < db
-    return a <= b
+    return order_key(a) <= order_key(b)
 
 
 W = Semiring("digital", add=w_add, mul=w_mul, zero=0, one=INF, leq=w_leq)

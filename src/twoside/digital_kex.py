@@ -22,7 +22,7 @@ from .digital import (
     INF,
     MAX_FINITE,
     W,
-    digit_sum,
+    order_key,
     value_from_json,
     value_to_json,
 )
@@ -185,7 +185,7 @@ def _chain(*groups) -> Tuple[list, dict]:
     Rank 0 is 0, the bottom; the last rank is INF, the top.  Raises
     ValueError for more than 2^15 values: a rank must fit a 15-bit lane.
     """
-    values = sorted({0, INF}.union(*groups), key=lambda v: (digit_sum(v), v))
+    values = sorted({0, INF}.union(*groups), key=order_key)
     if len(values) > 1 << 15:
         raise ValueError(f"{len(values)} distinct values: ranks overflow 15-bit lanes")
     return values, {v: r for r, v in enumerate(values)}

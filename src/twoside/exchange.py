@@ -71,7 +71,13 @@ def transcript_to_json(tr: Transcript, include_secrets: bool, codec: Codec) -> d
 
 
 def transcript_from_json(obj: dict, codec: Codec) -> Transcript:
-    """Parse a transcript; without (or with empty) secrets it is public-only."""
+    """Parse a transcript; without (or with empty) secrets it is public-only.
+
+    Raises ValueError unless keys_agree is a JSON boolean.
+    """
+    agree = obj["keys_agree"]
+    if not isinstance(agree, bool):
+        raise ValueError(f"keys_agree must be true or false, not {type(agree).__name__}")
     params = codec.params_from_json(obj["params"])
     key, secret = partial(codec.key_from_json, params), partial(codec.secret_from_json, params)
     alice_pk, bob_pk = key(obj["alice_public"]), key(obj["bob_public"])
@@ -82,4 +88,4 @@ def transcript_from_json(obj: dict, codec: Codec) -> Transcript:
         shared = key(secrets["shared_key"])
     else:
         alice, bob, shared = KeyPair(None, None, alice_pk), KeyPair(None, None, bob_pk), None
-    return Transcript(params, alice, bob, shared, bool(obj["keys_agree"]))
+    return Transcript(params, alice, bob, shared, agree)

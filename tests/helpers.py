@@ -8,7 +8,7 @@ implementations that share no code.
 import itertools
 from random import Random
 
-from twoside.digital import W, digit_sum, w_add, w_mul
+from twoside.digital import INF, W, w_add, w_mul
 from twoside.gf import FieldCtx, make_field_ctx
 from twoside.matrices import SemiringMatrix
 from twoside.twisted_ring import RingCtx, RingElement, basis_a2, basis_r1
@@ -60,8 +60,11 @@ def w_solutions_exhaustive(columns, target, values):
 
 
 def w_rank(v):
-    """Sort key realizing the induced order: digit sum first, value second."""
-    return (digit_sum(v), v)
+    """Sort key realizing the induced order: digit sum first, value second.
+
+    It sums the digits itself, so it stays independent of digital.order_key.
+    """
+    return (INF, INF) if v == INF else (sum(map(int, str(v))), v)
 
 
 def naive_mat_mul(sr, a_rows, b_rows):

@@ -341,6 +341,25 @@ def test_attack_rejects_digital_peer_key_of_wrong_size(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("value", ["false", 0, [1], None], ids=repr)
+@pytest.mark.parametrize(
+    "flags",
+    [("--n", "3"), ("--scheme", "twisted", "--p", "2", "--fext", "2", "--m", "3")],
+    ids=["digital", "twisted"],
+)
+def test_attack_rejects_keys_agree_that_is_not_a_bool(tmp_path, flags, value):
+    out = tmp_path / "t.json"
+    res = run_cli("exchange", *flags, "--seed", "9", "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    obj = read_json(out)
+    obj["keys_agree"] = value
+    out.write_text(json.dumps(obj))
+    res = run_cli("attack", str(out), cwd=tmp_path)
+    assert res.returncode == 2, res.stdout
+    assert "malformed transcript: keys_agree must be true or false" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [

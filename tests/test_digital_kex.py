@@ -1,5 +1,6 @@
 """Circulant key exchange over the digit semiring, honest runs and the attack."""
 
+import sys
 from random import Random
 
 import pytest
@@ -384,6 +385,29 @@ def test_chain_longer_than_a_lane_raises():
     assert len(_chain(range((1 << 15) - 1))[0]) == 1 << 15  # plus INF: fits
     with pytest.raises(ValueError, match="15-bit lanes"):
         _chain(range(1 << 15))
+
+
+def test_warm_chain_runs_no_python_frame_per_value():
+    # the sort reads W's order from order_key's cache: a warm chain enters
+    # _chain (and its comprehension) only, not one frame per value
+    rng = Random(80)
+    params = random_params(8, rng)
+    pair = keygen(params, rng)
+    groups = (pair.left.col, pair.right.col, params.matrix.flat())
+    _chain(*groups)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        values, _ = _chain(*groups)
+    finally:
+        sys.setprofile(None)
+    assert len(values) > 40
+    assert len(calls) < 8, calls
 
 
 def test_exchange_and_attack_at_the_size_cap():

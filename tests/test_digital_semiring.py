@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from twoside.digital import (
     INF,
+    MAX_FINITE,
     W,
     digit_sum,
+    order_key,
     value_from_json,
     value_to_json,
     w_add,
@@ -18,7 +20,7 @@ from twoside.digital import (
     w_mul,
 )
 
-from helpers import random_digit_tie_pair
+from helpers import random_digit_tie_pair, w_rank
 
 finite = st.integers(min_value=0, max_value=10**12)
 values = st.one_of(finite, st.just(INF))
@@ -43,9 +45,49 @@ def test_digit_sum_pinned():
 def test_digit_sum_cache_is_bounded():
     for v in range(10**15, 10**15 + 5000):
         assert digit_sum(v) == sum(map(int, str(v)))
-    info = digit_sum.cache_info()
+        order_key(v)
+    info = order_key.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+
+
+def test_digit_sum_rejects_negative_values():
+    with pytest.raises(ValueError):
+        digit_sum(-1)
+
+
+# -- the order key ---------------------------------------------------------------
+
+tie_pairs_drawn = st.integers(0, 2**32).map(lambda seed: random_digit_tie_pair(Random(seed)))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=MAX_FINITE), max_size=30),
+    st.lists(tie_pairs_drawn, max_size=10),
+)
+def test_order_key_sorts_as_the_oracle(vs, pairs):
+    vs += [0, MAX_FINITE, INF, *(v for pair in pairs for v in pair)]
+    assert sorted(vs, key=order_key) == sorted(vs, key=w_rank)
+
+
+@given(st.integers(min_value=0, max_value=MAX_FINITE))
+def test_digit_sum_matches_the_digit_loop(v):
+    assert digit_sum(v) == sum(map(int, str(v)))
+
+
+def test_order_key_pinned():
+    assert order_key(0) == 0
+    assert order_key(19) == 10 << 64 | 19
+    assert order_key(MAX_FINITE) == digit_sum(MAX_FINITE) << 64 | MAX_FINITE
+    assert order_key(INF) == INF
+
+
+@pytest.mark.parametrize("v", [-1, MAX_FINITE + 1, -(2**70), 2**80])
+def test_order_key_rejects_values_outside_w(v):
+    before = order_key.cache_info().currsize
+    with pytest.raises(ValueError):
+        order_key(v)
+    assert order_key.cache_info().currsize == before
 
 
 def test_digit_sum_positive_for_positive_values():

@@ -58,3 +58,19 @@ def test_transcript_without_secrets_is_public_only(module, shape, secrets):
     assert back.shared_key is None
     assert (back.params, back.alice.pk, back.bob.pk) == (tr.params, tr.alice.pk, tr.bob.pk)
     assert back.keys_agree is True
+
+
+@pytest.mark.parametrize("module,shape", SCHEMES, ids=["digital", "twisted"])
+@pytest.mark.parametrize("value", ["false", 0, [1], None], ids=repr)
+def test_keys_agree_must_be_a_json_bool(module, shape, value):
+    obj = module.transcript_to_json(honest(module, shape))
+    obj["keys_agree"] = value
+    with pytest.raises(ValueError, match="keys_agree must be true or false"):
+        module.transcript_from_json(obj)
+
+
+@pytest.mark.parametrize("module,shape", SCHEMES, ids=["digital", "twisted"])
+def test_keys_agree_false_parses_as_false(module, shape):
+    obj = module.transcript_to_json(honest(module, shape))
+    obj["keys_agree"] = False
+    assert module.transcript_from_json(obj).keys_agree is False
