@@ -23,6 +23,7 @@ recover_shared_key) stays as the reference that recovers the same key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, count
 from random import Random
 from typing import Tuple
 
@@ -79,8 +80,13 @@ def random_params(
     return TwistedParams(ctx, h)
 
 
-def _secret_terms(left: RingElement, right: RingElement, other: RingElement):
-    """The nonzero (exponent, coefficient) terms of left in R1 and right in A2.
+def _secret_multipliers(left: RingElement, right: RingElement, other: RingElement):
+    """The multipliers (g K', g K) of left * elem * right, as _sandwich takes them.
+
+    g is the rotation half of left in R1, K = sum s_e x^e the reflection half
+    of right = sum s_e x^e y in A2, and K' = sum s_e tau^e x^{-e}, which is
+    sum s_e tau^{-e} x^e since s_e = s_{-e}: one f_mul per nonzero s_e.  For
+    right.adjoint() the two swap: its K is right's K', and its K' is K.
 
     The one key-space check.  Raises ValueError when a factor lives in
     another ring than other, when left has a reflection part, or when right
@@ -97,18 +103,23 @@ def _secret_terms(left: RingElement, right: RingElement, other: RingElement):
     refl = right.coeffs[m:]
     if any(c != refl[-e] for e, c in enumerate(refl)):
         raise ValueError("right secret differs at x^e y and x^-e y (outside A2)")
-    return _terms(left.coeffs[:m]), _terms(refl)
+    lanes, fld, pows = ctx.lanes, ctx.field, ctx.twist_pows
+    adj = [f_mul(fld, s, pows[-e]) if any(s) else s for e, s in enumerate(refl)]
+    g, k, k_adj = (
+        pack(list(chain.from_iterable(half)), lanes.bits) for half in (left.coeffs[:m], refl, adj)
+    )
+    g = lanes.u_powers(g)
+    return lanes.times(k_adj, g), lanes.times(k, g)
 
 
 def keypair_from_secrets(
     params: TwistedParams, left: RingElement, right: RingElement
 ) -> KeyPair:
-    """left * h * right, by index shifts and field scalings.
+    """left * h * right, by two ring multiplies on packed lanes.
 
     left must lie in R1 and right in A2 (ValueError otherwise).
     """
-    g, k = _secret_terms(left, right, params.h)
-    return KeyPair(left, right, _sandwich(params.h, [(g, k)]))
+    return KeyPair(left, right, _sandwich(params.h, *_secret_multipliers(left, right, params.h)))
 
 
 def keygen(params: TwistedParams, rng: Random) -> KeyPair:
@@ -120,13 +131,12 @@ def keygen(params: TwistedParams, rng: Random) -> KeyPair:
 def shared_key(own: KeyPair, other_pk: RingElement) -> RingElement:
     """Wrap the peer's public element in our secrets, adjoint on the right.
 
-    own.left * other_pk * own.right.adjoint(), by index shifts and field
-    scalings: the adjoint scales the x^e y coefficient s to s * tau^{-e}.
+    own.left * other_pk * own.right.adjoint(), by two ring multiplies on
+    packed lanes: the adjoint swaps the two multipliers of own.right.
     The secrets must lie in R1 and A2 (ValueError otherwise).
     """
-    g, k = _secret_terms(own.left, own.right, other_pk)
-    fld, pows = other_pk.ctx.field, other_pk.ctx.twist_pows
-    return _sandwich(other_pk, [(g, [(e, f_mul(fld, s, pows[-e])) for e, s in k])])
+    refl_mult, rot_mult = _secret_multipliers(own.left, own.right, other_pk)
+    return _sandwich(other_pk, rot_mult, refl_mult)
 
 
 def run_exchange(params: TwistedParams, rng: Random) -> Transcript:
@@ -136,46 +146,24 @@ def run_exchange(params: TwistedParams, rng: Random) -> Transcript:
 # -- products on packed lanes (twisted_ring.RingLanes) -------------------------
 
 
-def _terms(coeffs) -> list:
-    """The (exponent, coefficient) pairs of the nonzero coefficients."""
-    return [(e, c) for e, c in enumerate(coeffs) if any(c)]
+def _sandwich(elem: RingElement, rot_mult: int, refl_mult: int) -> RingElement:
+    """B P + (A Q) y for elem = A + B y and multipliers P, Q in R1 = F_q[x]/(x^m - 1).
 
-
-def _times_k(ctx: RingCtx, rot: list, refl: list, k) -> list:
-    """The u-powers of the reduced halves of elem * sum(s * x^e y for e, s in k).
-
-    rot and refl are the u-powers of elem's halves.  (c x^j) (s x^e y) =
-    c s x^{j+e} y and (c x^j y) (s x^e y) = c s tau^e x^{j-e}: each term
-    scales and rotates both halves, and the sums are reduced once.
-    """
-    lanes, fld, pows = ctx.lanes, ctx.field, ctx.twist_pows
-    y_rot = y_refl = 0
-    for e, s in k:
-        y_rot += lanes.rotate(lanes.scale(refl, f_mul(fld, s, pows[e])), -e)
-        y_refl += lanes.rotate(lanes.scale(rot, s), e)
-    return [lanes.u_powers(y) for y in lanes.pack(lanes.unpack(y_rot, y_refl))]
-
-
-def _sandwich(elem: RingElement, pairs) -> RingElement:
-    """sum(g * elem * k for g, k in pairs), on packed lanes.
-
-    g = sum(s * x^i for i, s in g) lies in the rotation subring and
-    k = sum(s * x^e y for e, s in k) in the reflection half; at most
-    m//2 + 1 pairs, which the lane width allows for.  Each pair takes
-    elem * k from _times_k, then (s x^i) (c x^j y^l) = s c x^{i+j} y^l
-    rotates both halves by i and scales them by s, with no twist.  Lanes are
-    reduced after each reflection pass and once at the end.
+    For g in R1 and k = sum s_e x^e y, g * elem * k = B (g K') + A (g K) y
+    with K = sum s_e x^e and K' = sum s_e tau^e x^{-e}: (c x^j) (s x^e y) =
+    c s x^{j+e} y and (c x^j y) (s x^e y) = c s tau^e x^{j-e}, and g adds no
+    twist and commutes with R1.  So a sum of such products is elem's halves
+    times P = sum g K' and Q = sum g K.  P and Q come as packed halves, lanes
+    at most m (p - 1)(q - 1); they are reduced once, and each product is one
+    RingLanes.times.
     """
     ctx = elem.ctx
     lanes = ctx.lanes
-    rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(elem)))
-    out_rot = out_refl = 0
-    for g, k in pairs:
-        y_rot, y_refl = _times_k(ctx, rot, refl, k)
-        for i, s in g:
-            out_rot += lanes.rotate(lanes.scale(y_rot, s), i)
-            out_refl += lanes.rotate(lanes.scale(y_refl, s), i)
-    return unflatten(ctx, lanes.unpack(out_rot, out_refl))
+    rot, refl = lanes.pack(flatten(elem))
+    rot_mult, refl_mult = lanes.pack(lanes.unpack(rot_mult, refl_mult))
+    return unflatten(ctx, lanes.unpack(
+        lanes.times(rot_mult, lanes.u_powers(refl)), lanes.times(refl_mult, lanes.u_powers(rot))
+    ))
 
 
 # -- key recovery from public data only --------------------------------------
@@ -185,13 +173,26 @@ def _h_s(params: TwistedParams) -> list:
     """The u-powers (rot, refl) of the packed halves of h * S_j, for j < w = m//2 + 1.
 
     Entry [a] of each list is u^a * h * S_j, with its lanes left unreduced.
+    h * S_j is _sandwich's product for g = 1 and k = S_j = sum x^e y over the
+    orbit of j, whose multipliers have one or two terms: K_j = sum x^e
+    rotates h's rotation half, and K'_j = sum tau^e x^{-e} scales h's
+    reflection half by twist_pows[e] and rotates it.  The 2w halves are
+    reduced together, in one unpack.
     """
     ctx = params.ctx
-    lanes = ctx.lanes
+    lanes, pows, p, n, m = ctx.lanes, ctx.twist_pows, ctx.field.p, ctx.field.n, ctx.m
+    w, bits = m // 2 + 1, lanes.bits
+    half = m * n * bits
     rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(params.h)))
+    acc = 0  # half 2j holds the rotation half of h * S_j, half 2j + 1 its reflection half
+    for j in reversed(range(w)):
+        exps = orbit(m, j)
+        y_rot = sum([lanes.rotate(lanes.scale(refl, pows[e]), -e) for e in exps])
+        y_refl = sum([lanes.rotate(rot[0], e) for e in exps])
+        acc = (acc << half | y_refl) << half | y_rot
+    acc = pack([v % p for v in unpack(acc, 2 * w * m * n, bits)], bits)
     return [
-        _times_k(ctx, rot, refl, [(e, ctx.field.one) for e in orbit(ctx.m, j)])
-        for j in range(ctx.m // 2 + 1)
+        [lanes.u_powers(acc >> k * half & lanes.full) for k in (2 * j, 2 * j + 1)] for j in range(w)
     ]
 
 
@@ -367,25 +368,46 @@ def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
     z = gauss_solve_packed(system, flatten(target_pk))
     if z is None:
         return None
-    m, w = params.ctx.m, params.ctx.m // 2 + 1
+    w = params.ctx.m // 2 + 1
     nw = params.ctx.field.n * w
-    cols = (((i, j), tuple(z[i * nw + j : (i + 1) * nw : w])) for i in range(m) for j in range(w))
-    return {ij: c for ij, c in cols if any(c)}
+    coeffs = {}
+    for k in compress(count(), z):  # the nonzero unknowns (i, a, j), few with free variables zero
+        i, j = k // nw, k % w
+        if (i, j) not in coeffs:
+            coeffs[i, j] = tuple(z[i * nw + j : (i + 1) * nw : w])
+    return coeffs
 
 
 def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:
     """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}.
 
-    Raises ValueError when other_pk lives in another ring.
+    That is sum_j G_j * other_pk * S_j^adj with G_j = sum_i c_ij x^i in R1,
+    i taken mod m and j an orbit label below m.  S_j^adj = sum tau^{-e} x^e y
+    over the orbit of j, so in _sandwich's terms K'_j = sum x^{-e} and
+    K_j = sum tau^{-e} x^e: P is one rotation of G_j per exponent e, and Q
+    one scaling by twist_pows[-e] and rotation, with no f_mul.  The orbits
+    of j < m//2 + 1 partition the exponents, so that is m of each.  Raises
+    ValueError when other_pk lives in another ring.
     """
     _check_ring(params, other_pk)
     ctx = params.ctx
-    by_orbit = {}  # j -> [(i, c_ij)]
+    lanes, pows = ctx.lanes, ctx.twist_pows
+    p, n, m = ctx.field.p, ctx.field.n, ctx.m
+    flats = {}  # j -> flatten(G_j)
     for (i, j), c in coeffs.items():
-        by_orbit.setdefault(j, []).append((i, c))
-    pows = ctx.twist_pows  # S_j^adj sums tau^{-e} x^e y over the orbit of j
-    pairs = [(g, [(e, pows[-e]) for e in orbit(ctx.m, j)]) for j, g in by_orbit.items()]
-    return _sandwich(other_pk, pairs)
+        flat = flats.get(j)
+        if flat is None:
+            flat = flats[j] = [0] * (m * n)
+        s = i % m * n
+        old = flat[s : s + n]  # nonzero only when i wraps onto another entry's slot
+        flat[s : s + n] = [(a + b) % p for a, b in zip(old, c)] if any(old) else c
+    rot_mult = refl_mult = 0
+    for j, flat in flats.items():
+        g = lanes.u_powers(pack(flat, lanes.bits))
+        for e in orbit(m, j):
+            rot_mult += lanes.rotate(g[0], -e)
+            refl_mult += lanes.rotate(lanes.scale(g, pows[-e]), e)
+    return _sandwich(other_pk, rot_mult, refl_mult)
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:

@@ -49,15 +49,17 @@ class RingLanes(NamedTuple):
 
     Lane k * n + r of a half, bits wide, holds coordinate r of slot k.  Lanes
     may hold unreduced values: bits is the gf.lane_width that holds
-    w * m * (p - 1) * (q - 1), w = m // 2 + 1 and q = p^n, which bounds the
-    sums of scaled, rotated halves that twisted_kex forms between reductions.
-    Under MAX_PRIME, MAX_ORDER and MAX_M that bound is below 2^47.
+    w * m * (p - 1) * (q - 1), w = m // 2 + 1 and q = p^n, above the
+    m * (p - 1) * (q - 1) that bounds every sum twisted_kex forms between
+    reductions (times, and m scaled halves).  Under MAX_PRIME, MAX_ORDER and
+    MAX_M that bound is below 2^47.
     """
 
     p: int
     n: int
     m: int
     bits: int
+    first: int  # lane 0 of every slot
     low: int  # lanes r < n - 1 of every slot
     top: int  # lane n - 1 of every slot
     neg: int  # -modulus in lanes 0 .. n-1: u^n = sum(neg_r u^r)
@@ -91,16 +93,31 @@ class RingLanes(NamedTuple):
         """s * y for ys = u_powers(y): n multiply-adds, lanes at most (p - 1)(q - 1)."""
         return sum(map(mul, s, ys))
 
+    def times(self, g: int, ys: list) -> int:
+        """g * y in F_q[x]/(x^m - 1) for a half g with reduced lanes and ys = u_powers(y).
+
+        g = sum_a u^a g_a with g_a = sum_i g_ia x^i over F_p, and g_a as an int
+        of one lane per slot, (g >> a * bits) & first, times u^a y is the
+        product by Kronecker substitution (x -> 2^(n * bits)): n int
+        multiplies.  Slots m .. 2m - 2 of the sum wrap onto slots 0 .. m - 2
+        (x^m = 1), and every lane sums m products, at most m (p - 1)(q - 1).
+        """
+        bits, first = self.bits, self.first
+        acc = sum([((g >> a * bits) & first) * y for a, y in enumerate(ys)])
+        return (acc & self.full) + (acc >> self.m * self.n * bits)
+
 
 def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
     """The lane layout of the halves of the ring over fld with dihedral m."""
     p, n = fld.p, fld.n
     bits = lane_width((m // 2 + 1) * m * (p - 1) * (fld.order - 1))
     slots = sum(1 << k * n * bits for k in range(m))  # bit 0 of every slot
+    first = slots * ((1 << bits) - 1)
     low = slots * ((1 << (n - 1) * bits) - 1)
-    top = slots * ((1 << bits) - 1) << (n - 1) * bits
+    top = first << (n - 1) * bits
     neg = pack([-c % p for c in fld.modulus[:n]], bits)
-    return RingLanes(p, n, m, bits, low, top, neg, (1 << m * n * bits) - 1, mover(m, 1, n * bits))
+    full = (1 << m * n * bits) - 1
+    return RingLanes(p, n, m, bits, first, low, top, neg, full, mover(m, 1, n * bits))
 
 
 @dataclass(frozen=True)

@@ -384,8 +384,9 @@ def test_products_at_the_lane_bound(p, n, m):
 
 
 def test_products_scale_once_per_term_not_per_coefficient(monkeypatch):
-    # f_mul forms only the scalars s * tau^(+-e) of the secret and orbit terms:
-    # at most 2m per product sum, where one per coefficient would be thousands
+    # f_mul forms only the scalars s * tau^-e of the right secret's terms, at
+    # most m per product, where one per coefficient would be thousands; the
+    # attack reads tau^-e from the twist table and makes none
     calls = []
     monkeypatch.setattr(twisted_kex, "f_mul", lambda *args: calls.append(args) or gf.f_mul(*args))
     params = fixed_params(2, 4, 16)
@@ -395,7 +396,63 @@ def test_products_scale_once_per_term_not_per_coefficient(monkeypatch):
     assert 0 < len(calls) <= 4 * 2 * m  # two key pairs and two shared keys
     calls.clear()
     assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
-    assert 0 < len(calls) <= 2 * 2 * m  # the build and the replay
+    assert calls == []  # the build and the replay
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_replay_matches_term_by_term_products(data):
+    # any coefficients on any (i, j), j an orbit label below m and i any int,
+    # taken mod m, so several entries can land on one rotation
+    params = draw_params(data)
+    ctx = params.ctx
+    m, fld = ctx.m, ctx.field
+    other = draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse", "zero"])))
+    keys = st.tuples(st.integers(-2 * m, 3 * m), st.integers(0, m - 1))
+    index = st.integers(0, fld.order - 1)
+    coeffs = data.draw(st.dictionaries(keys, index.map(lambda c: element_from_index(fld, c))))
+    expected = RingElement.zero(ctx)
+    for (i, j), c in coeffs.items():
+        s_j = RingElement.zero(ctx)
+        for e in {j, -j % m}:  # S_j = x^j y + x^-j y, one term when j = -j mod m
+            s_j = s_j + single(ctx, e, 1)
+        term = naive_ring_mul(other, s_j.adjoint())
+        expected = expected + naive_ring_mul(single(ctx, i % m, 0, c), term)
+    assert replay(params, coeffs, other) == expected
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 4, 16), (5, 1, 6), (7, 1, 8)])
+def test_replay_multiplies_twice_and_scales_at_most_m_times(p, n, m, monkeypatch):
+    counts = {"times": 0, "scale": 0}
+
+    def counted(name):
+        real = getattr(twisted_ring.RingLanes, name)
+
+        def call(self, *args):
+            counts[name] += 1
+            return real(self, *args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(twisted_ring.RingLanes, name, counted(name))
+    f_muls = []
+    monkeypatch.setattr(twisted_kex, "f_mul", lambda *args: f_muls.append(args) or gf.f_mul(*args))
+    params = fixed_params(p, n, m)
+    rng = Random(8)
+    alice, bob = keygen(params, rng), keygen(params, rng)
+    f_muls.clear()
+    twisted_kex._h_s(params)
+    assert f_muls == []
+    honest = solve(params, system_rows(params), alice.pk)
+    top = (p - 1,) * n
+    every = {(i, j): top for i in range(m) for j in range(m // 2 + 1)}
+    for coeffs in (honest, every, {}):
+        counts.update(times=0, scale=0)
+        replay(params, coeffs, bob.pk)
+        assert counts["times"] == 2
+        assert counts["scale"] <= m
+    assert f_muls == []
 
 
 def test_exchange_rejects_secrets_outside_their_key_spaces():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside.gf import f_mul, f_pow
+from twoside.gf import element_from_index, f_mul, f_pow
 from twoside.twisted_ring import (
     RingElement,
     basis_a2,
@@ -168,6 +168,46 @@ def test_ring_mul_matches_naive_table_oracle():
             a = sample_element(ctx, rng, full_support=False)
             b = sample_element(ctx, rng, full_support=False)
             assert a * b == naive_ring_mul(a, b)
+
+
+# -- RingLanes.times against the basis-table product ---------------------------------
+
+
+def lanes_times(g, y):
+    """flatten(g * y) for g in R1: RingLanes.times of g's packed rotation half
+    against the u-powers of each half of y, reduced by unpack."""
+    lanes = g.ctx.lanes
+    g_half = lanes.pack(flatten(g))[0]
+    rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(y)))
+    return lanes.unpack(lanes.times(g_half, rot), lanes.times(g_half, refl))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_times_matches_naive_ring_mul(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 257, 65521]), label="p")
+    n = data.draw(st.integers(1, {257: 2, 65521: 1}.get(p, 4)), label="n")  # p^n <= MAX_ORDER
+    m = data.draw(st.sampled_from([1, 2, 3, 6, 8]), label="m")
+    ctx = ring(p, n, m)
+    index = st.integers(0, ctx.field.order - 1)
+    g_half = data.draw(st.lists(index, min_size=m, max_size=m), label="g")
+    y = data.draw(st.lists(index, min_size=2 * m, max_size=2 * m), label="y")
+    zero = (ctx.field.zero,) * m
+    g = RingElement(ctx, tuple(element_from_index(ctx.field, c) for c in g_half) + zero)
+    y = RingElement(ctx, tuple(element_from_index(ctx.field, c) for c in y))
+    assert lanes_times(g, y) == flatten(naive_ring_mul(g, y))
+
+
+@pytest.mark.parametrize("p,n", [(65521, 1), (31, 4)])
+def test_times_at_the_lane_bound(p, n):
+    # every coefficient p - 1 at m = 64: every lane sums 64 products of up to
+    # (p - 1)(q - 1), and slots 64 .. 126 of the unwrapped product wrap
+    ctx = ring(p, n, 64)
+    top = (p - 1,) * n
+    g = RingElement(ctx, (top,) * 64 + (ctx.field.zero,) * 64)
+    y = RingElement(ctx, (top,) * 128)
+    assert 64 * (p - 1) * (p**n - 1) < 1 << ctx.lanes.bits
+    assert lanes_times(g, y) == flatten(naive_ring_mul(g, y))
 
 
 def test_ring_associativity_and_distributivity():
