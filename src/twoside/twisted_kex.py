@@ -31,7 +31,7 @@ from . import exchange
 from .errors import AttackError, SizeCapError
 from .exchange import Codec, KeyPair, Transcript
 from .gf import (
-    PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, mover, pack, powers, unpack,
+    PackedRows, f_mul, gauss_solve_packed, lane_bits, make_field_ctx, mover, pack, powers,
 )
 from .twisted_ring import (
     RingCtx,
@@ -54,8 +54,6 @@ from .twisted_ring import (
 # cap on unknowns x equations of the attack system: (2, 4, 16) needs 294,912
 # cells, while (2, 8, 64) would need 138M and several GB
 MAX_SYSTEM_CELLS = 1 << 22
-
-_LOW_BIT = bytes(v & 1 for v in range(256))  # a byte value mod 2
 
 
 @dataclass(frozen=True)
@@ -158,9 +156,10 @@ def _sandwich(elem: RingElement, rot_mult: int, refl_mult: int) -> RingElement:
     RingLanes.times.
     """
     ctx = elem.ctx
-    lanes = ctx.lanes
+    lanes, half = ctx.lanes, ctx.m * ctx.field.n * ctx.lanes.bits
     rot, refl = lanes.pack(flatten(elem))
-    rot_mult, refl_mult = lanes.pack(lanes.unpack(rot_mult, refl_mult))
+    mults = lanes.reduce(rot_mult | refl_mult << half, 2 * ctx.m * ctx.field.n)
+    rot_mult, refl_mult = mults & lanes.full, mults >> half
     return unflatten(ctx, lanes.unpack(
         lanes.times(rot_mult, lanes.u_powers(refl)), lanes.times(refl_mult, lanes.u_powers(rot))
     ))
@@ -169,31 +168,28 @@ def _sandwich(elem: RingElement, rot_mult: int, refl_mult: int) -> RingElement:
 # -- key recovery from public data only --------------------------------------
 
 
-def _h_s(params: TwistedParams) -> list:
-    """The u-powers (rot, refl) of the packed halves of h * S_j, for j < w = m//2 + 1.
+def _h_s(params: TwistedParams) -> int:
+    """The n * w elements u^a * h * S_j, a < n and j < w = m//2 + 1, in one int.
 
-    Entry [a] of each list is u^a * h * S_j, with its lanes left unreduced.
+    Element (a, j), lanes unreduced, is at ring lane (a * w + j) * 2mn.
     h * S_j is _sandwich's product for g = 1 and k = S_j = sum x^e y over the
-    orbit of j, whose multipliers have one or two terms: K_j = sum x^e
-    rotates h's rotation half, and K'_j = sum tau^e x^{-e} scales h's
-    reflection half by twist_pows[e] and rotates it.  The 2w halves are
-    reduced together, in one unpack.
+    orbit of j: K_j = sum x^e rotates h's rotation half, and K'_j =
+    sum tau^e x^{-e} scales h's reflection half by twist_pows[e] and rotates
+    it.  The w elements are reduced, and take n - 1 u-steps, all at once.
     """
     ctx = params.ctx
-    lanes, pows, p, n, m = ctx.lanes, ctx.twist_pows, ctx.field.p, ctx.field.n, ctx.m
-    w, bits = m // 2 + 1, lanes.bits
-    half = m * n * bits
-    rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(params.h)))
+    lanes, pows, n, m = ctx.lanes, ctx.twist_pows, ctx.field.n, ctx.m
+    w, half = m // 2 + 1, m * n * lanes.bits
+    rot, refl = lanes.pack(flatten(params.h))
+    refl = lanes.u_powers(refl)
     acc = 0  # half 2j holds the rotation half of h * S_j, half 2j + 1 its reflection half
     for j in reversed(range(w)):
         exps = orbit(m, j)
         y_rot = sum([lanes.rotate(lanes.scale(refl, pows[e]), -e) for e in exps])
-        y_refl = sum([lanes.rotate(rot[0], e) for e in exps])
+        y_refl = sum([lanes.rotate(rot, e) for e in exps])
         acc = (acc << half | y_refl) << half | y_rot
-    acc = pack([v % p for v in unpack(acc, 2 * w * m * n, bits)], bits)
-    return [
-        [lanes.u_powers(acc >> k * half & lanes.full) for k in (2 * j, 2 * j + 1)] for j in range(w)
-    ]
+    ys = lanes.u_powers(lanes.reduce(acc, 2 * w * m * n))
+    return sum([y << a * 2 * w * half for a, y in enumerate(ys)])
 
 
 def _fold(terms, fld) -> dict:
@@ -238,23 +234,19 @@ def basis_products(params: TwistedParams) -> Tuple[tuple, tuple, list]:
     ctx = params.ctx
     fld, lanes = ctx.field, ctx.lanes
     n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
-    h_s = _h_s(params)
+    half, h_s = m * n * lanes.bits, _h_s(params)
+    ys = [h_s >> a * 2 * w * half & (1 << 2 * w * half) - 1 for a in range(n)]  # u^a * h * S_j
     # t^s * rot_i(h * S_j) at (s * m + i) * w + j, for the scalars t^0 .. t^{2n-2}
-    # of a left times a right basis element, each scaled once per (s, j)
-    tps = powers(fld, fld.t, 2 * n - 1)
-    scaled = [[(lanes.scale(rot, tp), lanes.scale(refl, tp)) for rot, refl in h_s] for tp in tps]
+    # of a left times a right basis element, each scaled once per s
+    scaled = [lanes.scale(ys, tp) for tp in powers(fld, fld.t, 2 * n - 1)]
+    halves = [[y >> k * half & lanes.full for k in range(2 * w)] for y in scaled]
     elems = [
-        unflatten(ctx, lanes.unpack(lanes.rotate(rot, i), lanes.rotate(refl, i)))
-        for halves in scaled
-        for i in range(m)
-        for rot, refl in halves
+        unflatten(ctx, lanes.unpack(lanes.rotate(hs[2 * j], i), lanes.rotate(hs[2 * j + 1], i)))
+        for hs in halves for i in range(m) for j in range(w)
     ]
     products = [
         elems[((a + b) * m + i) * w + j]
-        for a in range(n)
-        for i in range(m)
-        for b in range(n)
-        for j in range(w)
+        for a in range(n) for i in range(m) for b in range(n) for j in range(w)
     ]
     return basis_r1(ctx), basis_a2(ctx), products
 
@@ -312,31 +304,23 @@ def system_rows(params: TwistedParams) -> PackedRows:
     (l, k, r), row (l * m + k) * n + r, is coordinate r of slot (l, k) of the
     flattened elements.  Since rot_i moves slot (l, k - i) to (l, k), lane
     (i, a, j) of row (l, k, r) is coordinate r of slot (l, k - i) of
-    u^a * h * S_j.  The n * w elements u^a * h * S_j from _h_s are read in
-    one pass, element (a, j) at lanes from (a * w + j) * 2mn, so row (l, 0, r)
-    is m strided slices of those values, one per i; row (l, k, r) is row
-    (l, 0, r) with its m blocks of n * w lanes rotated up by k blocks.  Over
-    the size cap of the paper's system it raises ValueError before building
-    anything.
+    u^a * h * S_j.  The n * w elements u^a * h * S_j from _h_s are reduced
+    and read in one pass, element (a, j) at lanes from (a * w + j) * 2mn, so
+    row (l, 0, r) is m strided slices of those values, one per i; row
+    (l, k, r) is row (l, 0, r) with its m blocks of n * w lanes rotated up by
+    k blocks.  Over the size cap of the paper's system it raises ValueError
+    before building anything.
     """
     ctx = params.ctx
     fld, lanes = ctx.field, ctx.lanes
     p, n, m, w = fld.p, fld.n, ctx.m, ctx.m // 2 + 1
     check_system_size(n, m)
-    size, half = 2 * m * n, m * n * lanes.bits
-    h_s = _h_s(params)
-    elems = 0  # lane s of flatten(u^a * h * S_j), unreduced, in ring lane (a * w + j) * size + s
-    for a in reversed(range(n)):
-        for rot, refl in reversed(h_s):
-            elems = (elems << 2 * half) | refl[a] << half | rot[a]
-    count = n * w * size
-    if p == 2:  # the low byte of each lane, reduced to its bit 0
-        step = lanes.bits // 8
-        vals = elems.to_bytes(count * step, "little")[::step].translate(_LOW_BIT)
+    size, count, step = 2 * m * n, 2 * m * n * n * w, lanes.bits // 8
+    if p == 2:  # the low byte of each masked lane is its 0/1 value
+        vals = lanes.reduce(_h_s(params), count).to_bytes(count * step, "little")[::step]
         cat = b"".join
     else:
-        vals = [v % p for v in unpack(elems, count, lanes.bits)]
-        cat = lambda parts: sum(parts, [])
+        vals, cat = lanes.values(_h_s(params), count), chain.from_iterable
     bits = lane_bits(p, size)
     move = mover(m, 1, n * w * bits)  # move(x, k): block i of n * w lanes -> block i + k
     rows = [0] * size
@@ -382,19 +366,21 @@ def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingEl
     """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}.
 
     That is sum_j G_j * other_pk * S_j^adj with G_j = sum_i c_ij x^i in R1,
-    i taken mod m and j an orbit label below m.  S_j^adj = sum tau^{-e} x^e y
-    over the orbit of j, so in _sandwich's terms K'_j = sum x^{-e} and
-    K_j = sum tau^{-e} x^e: P is one rotation of G_j per exponent e, and Q
-    one scaling by twist_pows[-e] and rotation, with no f_mul.  The orbits
-    of j < m//2 + 1 partition the exponents, so that is m of each.  Raises
-    ValueError when other_pk lives in another ring.
+    i taken mod m and j an orbit label, an int 0 <= j <= m//2 (else
+    ValueError, as for an other_pk of another ring).  S_j^adj = sum
+    tau^{-e} x^e y over the orbit of j, so in _sandwich's terms K'_j =
+    sum x^{-e} and K_j = sum tau^{-e} x^e: P is one rotation of G_j per
+    exponent e, and Q one scaling by twist_pows[-e] and rotation, with no
+    f_mul.  The orbits of the labels partition the exponents: m of each.
     """
     _check_ring(params, other_pk)
     ctx = params.ctx
     lanes, pows = ctx.lanes, ctx.twist_pows
-    p, n, m = ctx.field.p, ctx.field.n, ctx.m
+    p, n, m, w = ctx.field.p, ctx.field.n, ctx.m, ctx.m // 2 + 1
     flats = {}  # j -> flatten(G_j)
     for (i, j), c in coeffs.items():
+        if type(j) is not int or not 0 <= j < w:
+            raise ValueError(f"orbit label j must be an int in 0..{w - 1}")
         flat = flats.get(j)
         if flat is None:
             flat = flats[j] = [0] * (m * n)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 from random import Random
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 from .gf import (
     FieldCtx,
@@ -48,20 +48,19 @@ class RingLanes(NamedTuple):
     """A ring element as two ints of F_p lanes: its rotation and reflection halves.
 
     Lane k * n + r of a half, bits wide, holds coordinate r of slot k.  Lanes
-    may hold unreduced values: bits is the gf.lane_width that holds
-    w * m * (p - 1) * (q - 1), w = m // 2 + 1 and q = p^n, above the
-    m * (p - 1) * (q - 1) that bounds every sum twisted_kex forms between
-    reductions (times, and m scaled halves).  Under MAX_PRIME, MAX_ORDER and
-    MAX_M that bound is below 2^47.
+    may hold unreduced values: bits is the gf.lane_width of m (p - 1)(q - 1),
+    q = p^n, the largest sum twisted_kex forms between reductions (times, and
+    replay's m scaled halves), below 2^38 under MAX_PRIME, MAX_ORDER, MAX_M.
+    reduce (and values, which reads its lanes) is their one reduction.
     """
 
     p: int
     n: int
     m: int
     bits: int
-    first: int  # lane 0 of every slot
-    low: int  # lanes r < n - 1 of every slot
-    top: int  # lane n - 1 of every slot
+    first: int  # lane 0 of every slot of a half
+    low: int  # lanes r < n - 1 of every slot of 2w halves, w = m // 2 + 1
+    top: int  # lane n - 1 of every slot of 2w halves
     neg: int  # -modulus in lanes 0 .. n-1: u^n = sum(neg_r u^r)
     full: int  # all m * n lanes of a half
     rotate: Callable  # rotate(y, i) = x^i * y: slot k moves to slot k + i mod m
@@ -71,16 +70,30 @@ class RingLanes(NamedTuple):
         x = pack(flat, self.bits)
         return x & self.full, x >> self.m * self.n * self.bits
 
+    def reduce(self, x: int, count: int) -> int:
+        """x with its count lanes reduced mod p.  At p = 2 one AND with bit 0 of
+        every lane, as v mod 2 is bit 0 of v and no lane carries; else % p."""
+        if self.p == 2:
+            return x & int.from_bytes(b"\1".ljust(self.bits // 8, b"\0") * count, "little")
+        return pack(self.values(x, count), self.bits)
+
+    def values(self, x: int, count: int) -> Sequence[int]:
+        """The count lanes of x reduced mod p, as gf.unpack reads reduce(x, count)."""
+        p = self.p
+        if p == 2:
+            return unpack(self.reduce(x, count), count, self.bits)
+        return [v % p for v in unpack(x, count, self.bits)]
+
     def unpack(self, rot: int, refl: int) -> tuple:
         """flatten of the element with these halves, reduced mod p."""
-        p, half = self.p, self.m * self.n
-        return tuple([v % p for v in unpack(rot | refl << half * self.bits, 2 * half, self.bits)])
+        count = 2 * self.m * self.n
+        return tuple(self.values(rot | refl << count // 2 * self.bits, count))
 
     def u_powers(self, y: int) -> list:
-        """y, u y, .., u^{n-1} y for a half y with reduced lanes, u the field's variable.
+        """y, u y, .., u^{n-1} y for y with reduced lanes, u the field's variable.
 
-        u shifts every slot up one lane and adds its top lane times -modulus,
-        unreduced: lane values of u^d y stay at most p^d (p - 1).
+        y is a half or up to 2w side by side.  u shifts every slot up one lane
+        and adds its top lane times -modulus: lanes of u^d y reach p^d (p - 1).
         """
         out = [y]
         down = self.bits * (self.n - 1)
@@ -110,11 +123,11 @@ class RingLanes(NamedTuple):
 def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
     """The lane layout of the halves of the ring over fld with dihedral m."""
     p, n = fld.p, fld.n
-    bits = lane_width((m // 2 + 1) * m * (p - 1) * (fld.order - 1))
-    slots = sum(1 << k * n * bits for k in range(m))  # bit 0 of every slot
-    first = slots * ((1 << bits) - 1)
-    low = slots * ((1 << (n - 1) * bits) - 1)
-    top = first << (n - 1) * bits
+    bits = lane_width(m * (p - 1) * (fld.order - 1))
+    ones, zeros, slots = b"\xff" * (bits // 8), bytes(bits // 8), 2 * (m // 2 + 1) * m
+    first = int.from_bytes((ones + zeros * (n - 1)) * m, "little")
+    low = int.from_bytes((ones * (n - 1) + zeros) * slots, "little")
+    top = int.from_bytes((zeros * (n - 1) + ones) * slots, "little")
     neg = pack([-c % p for c in fld.modulus[:n]], bits)
     full = (1 << m * n * bits) - 1
     return RingLanes(p, n, m, bits, first, low, top, neg, full, mover(m, 1, n * bits))
@@ -367,9 +380,10 @@ def element_from_coeffs(ctx: RingCtx, items) -> RingElement:
         if idx in seen:
             raise ValueError("duplicate coefficient entry")
         seen.add(idx)
-        if len(c) != ctx.field.n or any(
-            type(v) is not int or not 0 <= v < ctx.field.p for v in c
-        ):
-            raise ValueError("coefficient is not a reduced field element")
         coeffs[idx] = tuple(c)
+    flat = list(itertools.chain.from_iterable(coeffs))  # checked at once: lengths, types, range
+    if set(map(len, coeffs)) != {ctx.field.n} or set(map(type, flat)) != {int} or not (
+        0 <= min(flat) and max(flat) < ctx.field.p
+    ):
+        raise ValueError("coefficient is not a reduced field element")
     return RingElement(ctx, tuple(coeffs))

@@ -352,9 +352,9 @@ def test_exchange_runs_without_ring_products(p, n, m, monkeypatch):
         assert shared_key(own, other.pk) == (own.left * other.pk) * own.right.adjoint()
 
 
-# the ring's lane width at each shape: the first of 16, 32, 64 bits that holds w m (p-1)(q-1)
+# the ring's lane width at each shape: the first of 16, 32, 64 bits that holds m (p-1)(q-1)
 LANE_BOUND_BITS = {
-    (65521, 1, 64): 64, (31, 4, 64): 64, (1021, 2, 64): 64, (2, 8, 64): 32, (5, 8, 4): 32,
+    (65521, 1, 64): 64, (31, 4, 64): 32, (1021, 2, 64): 64, (2, 8, 64): 16, (5, 8, 4): 32,
     (2, 1, 1): 16, (3, 1, 2): 16,
 }
 
@@ -366,7 +366,7 @@ def test_products_at_the_lane_bound(p, n, m):
     w = m // 2 + 1
     bits = LANE_BOUND_BITS[p, n, m]
     assert ctx.lanes.bits == bits
-    assert w * m * (p - 1) * (p**n - 1) < 1 << bits
+    assert m * (p - 1) * (p**n - 1) < 1 << bits
     top, zero = (p - 1,) * n, (ctx.field.zero,) * m
     left, right = RingElement(ctx, (top,) * m + zero), RingElement(ctx, zero + (top,) * m)
     params = TwistedParams(ctx, RingElement(ctx, (top,) * (2 * m)))
@@ -402,13 +402,13 @@ def test_products_scale_once_per_term_not_per_coefficient(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_replay_matches_term_by_term_products(data):
-    # any coefficients on any (i, j), j an orbit label below m and i any int,
-    # taken mod m, so several entries can land on one rotation
+    # any coefficients on any (i, j), j an orbit label up to m // 2 and i any
+    # int, taken mod m, so several entries can land on one rotation
     params = draw_params(data)
     ctx = params.ctx
     m, fld = ctx.m, ctx.field
     other = draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse", "zero"])))
-    keys = st.tuples(st.integers(-2 * m, 3 * m), st.integers(0, m - 1))
+    keys = st.tuples(st.integers(-2 * m, 3 * m), st.integers(0, m // 2))
     index = st.integers(0, fld.order - 1)
     coeffs = data.draw(st.dictionaries(keys, index.map(lambda c: element_from_index(fld, c))))
     expected = RingElement.zero(ctx)
@@ -453,6 +453,35 @@ def test_replay_multiplies_twice_and_scales_at_most_m_times(p, n, m, monkeypatch
         assert counts["times"] == 2
         assert counts["scale"] <= m
     assert f_muls == []
+
+
+@pytest.mark.parametrize("label", [2, 3, -1, 1.0, True])
+def test_replay_rejects_orbit_labels_outside_zero_to_half_m(label):
+    # m = 2 has the labels 0 and 1; j = m once read as label 0 twice, and
+    # j = m + 1 rotated past the twist table
+    params = fixed_params(3, 1, 2)
+    with pytest.raises(ValueError, match="orbit label"):
+        replay(params, {(0, label): (1,)}, params.h)
+    assert replay(params, {(0, 1): (1,)}, params.h) == replay(params, {(2, 1): (1,)}, params.h)
+
+
+def test_p2_products_never_reduce_through_unpack(monkeypatch):
+    # at p = 2 RingLanes.reduce is one mask: _h_s, _sandwich and replay
+    # unpack only lanes that are already 0 or 1, to read them
+    unpacked = []
+
+    def checked(x, count, bits):
+        values = gf.unpack(x, count, bits)
+        unpacked.append(count)
+        assert max(values) <= 1, "an unreduced lane went through gf.unpack"
+        return values
+
+    monkeypatch.setattr(twisted_ring, "unpack", checked)
+    assert not hasattr(twisted_kex, "unpack")  # twisted_kex reads lanes through RingLanes
+    params = fixed_params(2, 4, 6)
+    tr = run_exchange(params, Random(4))
+    assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key  # builds through _h_s
+    assert unpacked  # the exchange and the replay read their products
 
 
 def test_exchange_rejects_secrets_outside_their_key_spaces():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside.gf import element_from_index, f_mul, f_pow
+from twoside.gf import element_from_index, f_mul, f_pow, pack, unpack
 from twoside.twisted_ring import (
     RingElement,
     basis_a2,
@@ -208,6 +208,25 @@ def test_times_at_the_lane_bound(p, n):
     y = RingElement(ctx, (top,) * 128)
     assert 64 * (p - 1) * (p**n - 1) < 1 << ctx.lanes.bits
     assert lanes_times(g, y) == flatten(naive_ring_mul(g, y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduce_matches_lanewise_mod(data):
+    # the one reduction of ring lanes, a mask at p = 2, against % p lane by
+    # lane, on lanes up to 2^bits - 1 and as many as the attack's build reads
+    p = data.draw(st.sampled_from([2, 3, 5, 257, 65521]), label="p")
+    n = data.draw(st.integers(1, {257: 2, 65521: 1}.get(p, 4)), label="n")
+    m = data.draw(st.sampled_from([1, 2, 3, 6, 8]), label="m")
+    lanes = ring(p, n, m).lanes
+    top = (1 << lanes.bits) - 1
+    values = data.draw(st.lists(
+        st.one_of(st.integers(0, top), st.sampled_from([top, m * (p - 1) * (p**n - 1)])),
+        min_size=1, max_size=n * (m // 2 + 1) * 2 * m * n,
+    ), label="lanes")
+    reduced = lanes.reduce(pack(values, lanes.bits), len(values))
+    assert reduced >> len(values) * lanes.bits == 0
+    assert list(unpack(reduced, len(values), lanes.bits)) == [v % p for v in values]
 
 
 def test_ring_associativity_and_distributivity():
