@@ -485,12 +485,12 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # array type codes by lane width; a width without one packs through bytes
 _LANE_CODES = {array(code).itemsize * 8: code for code in "HIQ"}
-# Lanes divisible by p that _eliminate_fp's lead walk skips one at a time
-# before it reduces the row mod p.  An unreduced lane is divisible by p about
-# once in p, so a live row meets k of them in a row with probability about
-# p^-k (3^-8 < 2e-4).  Reducing at the first or second one made the (5,2,12)
-# and (3,8,4) attack solves 1.7-3x slower; runs of 4 to 16 timed within noise
-# of never reducing.
+# Lanes divisible by p that _eliminate_fp's row walk skips one at a time,
+# counted from the row's last multiply-add, before it reduces the row mod p.
+# An unreduced lane is divisible by p about once in p, so a live row meets k
+# of them in a row with probability about p^-k (3^-8 < 2e-4).  Reducing at
+# the first or second one made the (5,2,12) and (3,8,4) attack solves 1.7-3x
+# slower; runs of 4 to 16 timed within noise of never reducing.
 _MOD_P_RUN = 8
 
 
@@ -612,63 +612,59 @@ def _eliminate_f2(rows: list, c: int) -> Optional[list]:
 
 
 def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
-    """Solve the packed F_p rows [A | b] (b is lane c) by forward elimination.
+    """Solve the packed F_p rows [A | b] (b is lane c) by basis insertion.
 
-    Lanes hold unreduced values (delayed modular reduction: Dumas, Gautier &
-    Pernet, ISSAC 2002).  A live row is filed under its lead, its lowest lane
-    not divisible by p, and shifted down so that the lead is its lane 0; the
-    lanes below are divisible by p and are dropped on the way.  Each step
-    pivots on the leftmost lead, reduces that one row to a leading 1
-    (unpack, mod, scale, repack), and clears the column from the rows that
-    share the lead with one multiply-add each; rows with a later lead are
-    not touched.  Back-substitution over the pivot rows, free variables zero.
+    _eliminate_f2's insertion on unreduced lanes (delayed modular
+    reduction: Dumas, Gautier & Pernet, ISSAC 2002).  Each row is walked
+    from lane 0 and shifted down as it goes, lane 0 being column col.  A
+    lane divisible by p is skipped; a lane f = lane % p != 0 is cleared by
+    one multiply-add with the pivot that holds col, or, where none does,
+    the row is reduced to a leading 1 (unpack, mod, scale, repack) and
+    becomes that pivot; at col == c it reads 0 = b.  The leads of any such
+    basis are the pivot columns of the reduced form, so row order does not
+    change the solution.  Back-substitution over the pivots in descending
+    column order, free variables zero.
     """
     mask = (1 << bits) - 1
-    by_lead: dict = {}  # lead column -> rows shifted down to it
-
-    def file(col: int, v: int) -> bool:
-        """File v, whose lane 0 is lane col; False when it reads 0 = b, b != 0."""
-        divisible = 0
+    basis = [None] * c  # lead column -> the pivot's reduced lanes past it, as one int
+    pivots = []  # (column, reduced lanes from that column to the right-hand side)
+    for v in rows:
+        col = divisible = 0
         while v:
             lane = v & mask
-            if lane % p:
+            if not lane:  # a run of zero lanes
+                skip = ((v & -v).bit_length() - 1) // bits
+                v >>= skip * bits
+                col += skip
+                continue
+            f = lane % p
+            if f:
                 if col == c:
-                    return False
-                by_lead.setdefault(col, []).append(v)
-                return True
-            if lane:
+                    return None
+                tail = basis[col]
+                if tail is None:
+                    inv = pow(f, -1, p)
+                    lanes = [x * inv % p for x in unpack(v, c + 1 - col, bits)]
+                    pivots.append((col, lanes))
+                    basis[col] = pack(lanes, bits) >> bits
+                    break
+                # lane col + f + (p - f) * 1 is divisible by p: drop it, add the rest
+                v = (v >> bits) + (p - f) * tail
+                divisible = 0
+            else:
                 # a lane divisible by p is skipped alone; after _MOD_P_RUN of them
-                # the whole row is reduced mod p once, which zeroes every such lane,
-                # so a row made dependent costs one pass, not one shift per lane
+                # since the last multiply-add the whole row is reduced mod p once,
+                # which zeroes every such lane, so a row made dependent costs one
+                # pass per operation, not one shift per lane
                 divisible += 1
                 if divisible == _MOD_P_RUN:
                     v = pack([x % p for x in unpack(v, c + 1 - col, bits)], bits)
                     continue
-                skip = 1
-            else:  # a run of zero lanes
-                skip = ((v & -v).bit_length() - 1) // bits
-            v >>= skip * bits
-            col += skip
-        return True
-
-    if not all(file(0, v) for v in rows):
-        return None
-    pivots = []  # (column, reduced lanes from that column to the right-hand side)
-    while by_lead:
-        col = min(by_lead)
-        pivot, *rest = by_lead.pop(col)
-        lanes = unpack(pivot, c + 1 - col, bits)
-        inv = pow(lanes[0], -1, p)
-        lanes = [v * inv % p for v in lanes]
-        pivots.append((col, lanes))
-        # lane col + f + (p - f) * 1 is divisible by p: drop it, add the rest
-        tail = pack(lanes, bits) >> bits
-        for v in rest:
-            if not file(col + 1, (v >> bits) + (p - (v & mask) % p) * tail):
-                return None
+                v >>= bits
+            col += 1
     x = [0] * c
     solved = []  # (column, value) of the nonzero unknowns found so far
-    for col, lanes in reversed(pivots):
+    for col, lanes in sorted(pivots, reverse=True):
         s = lanes[c - col]
         for j, v in solved:
             s -= lanes[j - col] * v

@@ -640,6 +640,42 @@ def test_packed_system_rows_match_transposed_columns(data):
     assert gauss_solve_packed(system, target) == (None if full is None else full[0])
 
 
+@pytest.mark.parametrize("p,n,m", TWISTED_GRID + [(5, 2, 12)])
+def test_packed_solve_matches_full_on_honest_keys(p, n, m):
+    # an honest public key is in the span, so the solve never stops at an
+    # early 0 = b: every row is inserted and every pivot back-substituted
+    for seed in range(3):
+        params = random_params(p, n, m, Random(seed))
+        target = flatten(run_exchange(params, Random(seed + 10)).alice.pk)
+        system = system_rows(params)
+        got = gauss_solve_packed(system, target)
+        assert got is not None
+        assert got == gauss_solve_full(unpacked_rows(system), target, p)[0]
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 2, 16), (3, 8, 4)])
+@pytest.mark.parametrize("seed", range(5))
+def test_mod_p_pass_runs_at_most_once_per_row_operation(p, n, m, seed, monkeypatch):
+    # each pivot normalization and each mod-p pass over a row packs once; the
+    # count of divisible lanes restarts at every multiply-add, so a row made
+    # dependent costs about one pass.  Carried across a row's operations it
+    # reads about 2 packs per row here, and the solve runs slower.
+    params = random_params(p, n, m, Random(seed))
+    target = flatten(run_exchange(params, Random(seed)).alice.pk)
+    system = system_rows(params)
+    packs = 0
+    pack = gf.pack
+
+    def counting(values, bits):
+        nonlocal packs
+        packs += 1
+        return pack(values, bits)
+
+    monkeypatch.setattr(gf, "pack", counting)
+    assert gauss_solve_packed(system, target) is not None
+    assert packs < 1.5 * len(system.rows)
+
+
 def test_system_rows_match_transposed_columns_at_benchmark_shape():
     # draw_params keeps n <= 3: the benchmark's (2, 4, 6) reads 16 elements
     # of 48 ring lanes each and wraps the slot index (-i) mod 6
