@@ -48,7 +48,6 @@ from .twisted_ring import (
     sample_a2,
     sample_element,
     sample_r1,
-    unflatten,
 )
 
 # cap on unknowns x equations of the attack system: (2, 4, 16) needs 294,912
@@ -93,21 +92,17 @@ def _secret_multipliers(left: RingElement, right: RingElement, other: RingElemen
     ctx = other.ctx
     if left.ctx != ctx or right.ctx != ctx:
         raise ValueError("ring context mismatch")
-    m = ctx.m
-    if any(map(any, left.coeffs[m:])):
+    if left.refl:
         raise ValueError("left secret has a nonzero reflection half (outside R1)")
-    if any(map(any, right.coeffs[:m])):
+    if right.rot:
         raise ValueError("right secret has a nonzero rotation half (outside A2)")
-    refl = right.coeffs[m:]
+    lanes, fld, pows = ctx.lanes, ctx.field, ctx.twist_pows
+    refl = list(zip(*[iter(flatten(right)[ctx.m * fld.n :])] * fld.n))  # the s_e
     if any(c != refl[-e] for e, c in enumerate(refl)):
         raise ValueError("right secret differs at x^e y and x^-e y (outside A2)")
-    lanes, fld, pows = ctx.lanes, ctx.field, ctx.twist_pows
     adj = [f_mul(fld, s, pows[-e]) if any(s) else s for e, s in enumerate(refl)]
-    g, k, k_adj = (
-        pack(list(chain.from_iterable(half)), lanes.bits) for half in (left.coeffs[:m], refl, adj)
-    )
-    g = lanes.u_powers(g)
-    return lanes.times(k_adj, g), lanes.times(k, g)
+    k_adj, g = pack(list(chain.from_iterable(adj)), lanes.bits), lanes.u_powers(left.rot)
+    return lanes.times(k_adj, g), lanes.times(right.refl, g)
 
 
 def keypair_from_secrets(
@@ -152,16 +147,14 @@ def _sandwich(elem: RingElement, rot_mult: int, refl_mult: int) -> RingElement:
     c s x^{j+e} y and (c x^j y) (s x^e y) = c s tau^e x^{j-e}, and g adds no
     twist and commutes with R1.  So a sum of such products is elem's halves
     times P = sum g K' and Q = sum g K.  P and Q come as packed halves, lanes
-    at most m (p - 1)(q - 1); they are reduced once, and each product is one
-    RingLanes.times.
+    at most m (p - 1)(q - 1); they are reduced once, each product is one
+    RingLanes.times, and the two products are reduced once.
     """
-    ctx = elem.ctx
-    lanes, half = ctx.lanes, ctx.m * ctx.field.n * ctx.lanes.bits
-    rot, refl = lanes.pack(flatten(elem))
-    mults = lanes.reduce(rot_mult | refl_mult << half, 2 * ctx.m * ctx.field.n)
-    rot_mult, refl_mult = mults & lanes.full, mults >> half
-    return unflatten(ctx, lanes.unpack(
-        lanes.times(rot_mult, lanes.u_powers(refl)), lanes.times(refl_mult, lanes.u_powers(rot))
+    lanes = elem.ctx.lanes
+    rot_mult, refl_mult = lanes.reduce_halves(rot_mult, refl_mult)
+    return RingElement(elem.ctx, *lanes.reduce_halves(
+        lanes.times(rot_mult, lanes.u_powers(elem.refl)),
+        lanes.times(refl_mult, lanes.u_powers(elem.rot)),
     ))
 
 
@@ -180,8 +173,7 @@ def _h_s(params: TwistedParams) -> int:
     ctx = params.ctx
     lanes, pows, n, m = ctx.lanes, ctx.twist_pows, ctx.field.n, ctx.m
     w, half = m // 2 + 1, m * n * lanes.bits
-    rot, refl = lanes.pack(flatten(params.h))
-    refl = lanes.u_powers(refl)
+    rot, refl = params.h.rot, lanes.u_powers(params.h.refl)
     acc = 0  # half 2j holds the rotation half of h * S_j, half 2j + 1 its reflection half
     for j in reversed(range(w)):
         exps = orbit(m, j)
@@ -238,10 +230,12 @@ def basis_products(params: TwistedParams) -> Tuple[tuple, tuple, list]:
     ys = [h_s >> a * 2 * w * half & (1 << 2 * w * half) - 1 for a in range(n)]  # u^a * h * S_j
     # t^s * rot_i(h * S_j) at (s * m + i) * w + j, for the scalars t^0 .. t^{2n-2}
     # of a left times a right basis element, each scaled once per s
-    scaled = [lanes.scale(ys, tp) for tp in powers(fld, fld.t, 2 * n - 1)]
+    scaled = [
+        lanes.reduce(lanes.scale(ys, tp), 2 * w * m * n) for tp in powers(fld, fld.t, 2 * n - 1)
+    ]
     halves = [[y >> k * half & lanes.full for k in range(2 * w)] for y in scaled]
     elems = [
-        unflatten(ctx, lanes.unpack(lanes.rotate(hs[2 * j], i), lanes.rotate(hs[2 * j + 1], i)))
+        RingElement(ctx, lanes.rotate(hs[2 * j], i), lanes.rotate(hs[2 * j + 1], i))
         for hs in halves for i in range(m) for j in range(w)
     ]
     products = [

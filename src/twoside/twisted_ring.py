@@ -1,14 +1,14 @@
 """Twisted group rings of dihedral groups over small finite fields.
 
-Group elements x^i y^k of <x, y | x^m = y^2 = 1, y x^a = x^{m-a} y> are
-(i, k) pairs with 0 <= i < m and k in {0, 1}; a ring element keeps one field
-coefficient per group element.  Multiplying (a x^i y) by (b x^j y^k) picks up
-the twist factor tau^j, where tau is the highest-order root of unity in the
-field whose order divides m.  That divisibility is exactly what makes the
-ring associative: any unit of larger order breaks associativity on products
-whose rotation exponents wrap past m.  tau is derived canonically from the
-field generator t as t^((p^n - 1) / gcd(m, p^n - 1)).  The group law and
-the twist factor as functions of two group elements are written out in
+Group elements x^i y^k of <x, y | x^m = y^2 = 1, y x^a = x^{m-a} y> are (i, k)
+pairs with 0 <= i < m and k in {0, 1}; a ring element keeps its coefficients
+as two ints of F_p lanes (RingLanes).  Multiplying (a x^i y) by (b x^j y^k)
+picks up the twist factor tau^j, where tau is the highest-order root of unity
+in the field whose order divides m.  That divisibility is exactly what makes
+the ring associative: any unit of larger order breaks associativity on
+products whose rotation exponents wrap past m.  tau is derived canonically
+from the field generator t as t^((p^n - 1) / gcd(m, p^n - 1)).  The group law
+and the twist factor as functions of two group elements are written out in
 tests/helpers.py, which checks the axioms they satisfy.
 
 The adjoint rescales the x^i y^k coefficient by tau^{-i}.  On elements of the
@@ -42,13 +42,14 @@ from .gf import (
     unpack,
 )
 
-MAX_M = 64  # dense coefficient storage; enough for every desk-scale group here
+MAX_M = 64  # keeps the ring lanes below 2^38 (RingLanes); enough for every desk-scale group here
 
 class RingLanes(NamedTuple):
-    """A ring element as two ints of F_p lanes: its rotation and reflection halves.
+    """The layout of a ring element's rotation and reflection halves, and their products.
 
-    Lane k * n + r of a half, bits wide, holds coordinate r of slot k.  Lanes
-    may hold unreduced values: bits is the gf.lane_width of m (p - 1)(q - 1),
+    Lane k * n + r of a half, bits wide, holds coordinate r of the x^k (or
+    x^k y) coefficient; a RingElement keeps every lane below p.  Products may
+    hold unreduced lanes: bits is the gf.lane_width of m (p - 1)(q - 1),
     q = p^n, the largest sum twisted_kex forms between reductions (times, and
     replay's m scaled halves), below 2^38 under MAX_PRIME, MAX_ORDER, MAX_M.
     reduce (and values, which reads its lanes) is their one reduction.
@@ -65,11 +66,6 @@ class RingLanes(NamedTuple):
     full: int  # all m * n lanes of a half
     rotate: Callable  # rotate(y, i) = x^i * y: slot k moves to slot k + i mod m
 
-    def pack(self, flat) -> Tuple[int, int]:
-        """The halves of the element with flatten(elem) == flat, each value below p."""
-        x = pack(flat, self.bits)
-        return x & self.full, x >> self.m * self.n * self.bits
-
     def reduce(self, x: int, count: int) -> int:
         """x with its count lanes reduced mod p.  At p = 2 one AND with bit 0 of
         every lane, as v mod 2 is bit 0 of v and no lane carries; else % p."""
@@ -84,10 +80,11 @@ class RingLanes(NamedTuple):
             return unpack(self.reduce(x, count), count, self.bits)
         return [v % p for v in unpack(x, count, self.bits)]
 
-    def unpack(self, rot: int, refl: int) -> tuple:
-        """flatten of the element with these halves, reduced mod p."""
-        count = 2 * self.m * self.n
-        return tuple(self.values(rot | refl << count // 2 * self.bits, count))
+    def reduce_halves(self, rot: int, refl: int) -> Tuple[int, int]:
+        """rot and refl, two halves, with their lanes reduced mod p by one reduce."""
+        half = self.m * self.n * self.bits
+        x = self.reduce(rot | refl << half, 2 * self.m * self.n)
+        return x & self.full, x >> half
 
     def u_powers(self, y: int) -> list:
         """y, u y, .., u^{n-1} y for y with reduced lanes, u the field's variable.
@@ -159,21 +156,30 @@ def make_ring_ctx(fld: FieldCtx, m: int) -> RingCtx:
 
 @dataclass(frozen=True)
 class RingElement:
-    """Dense tuple of field-element tuples; index i + m*k holds x^i y^k."""
+    """The rotation and reflection halves in ctx.lanes' layout, every lane below p."""
 
     ctx: RingCtx = field(repr=False)
-    coeffs: tuple
+    rot: int
+    refl: int
 
-    def __post_init__(self):
-        if type(self.coeffs) is not tuple or len(self.coeffs) != self.ctx.group_size:
-            raise ValueError("coefficients must be a tuple of 2*m field elements")
-        n = self.ctx.field.n
-        if any(type(c) is not tuple or len(c) != n for c in self.coeffs):
-            raise ValueError("coefficients must be field-element tuples of length n")
+    @classmethod
+    def from_coeffs(cls, ctx: RingCtx, coeffs) -> "RingElement":
+        """The element whose coeffs view is coeffs; ValueError unless that is a
+        tuple of 2m tuples of n plain ints in 0..p-1, checked as JSON items are."""
+        if type(coeffs) is not tuple or len(coeffs) != ctx.group_size or any(
+            type(c) is not tuple for c in coeffs
+        ):
+            raise ValueError("coefficients must be a tuple of 2*m field-element tuples")
+        return element_from_coeffs(ctx, [(i % ctx.m, i // ctx.m, c) for i, c in enumerate(coeffs)])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense view: 2m field-element tuples, index i + m*k holding x^i y^k."""
+        return tuple(zip(*[iter(flatten(self))] * self.ctx.field.n))
 
     @classmethod
     def zero(cls, ctx: RingCtx) -> "RingElement":
-        return cls(ctx, ((ctx.field.zero),) * ctx.group_size)
+        return cls(ctx, 0, 0)
 
     def _require_same(self, other: "RingElement") -> None:
         if self.ctx != other.ctx:
@@ -182,9 +188,8 @@ class RingElement:
     def __add__(self, other: "RingElement") -> "RingElement":
         self._require_same(other)
         fld = self.ctx.field
-        return RingElement(
-            self.ctx,
-            tuple(f_add(fld, a, b) for a, b in zip(self.coeffs, other.coeffs)),
+        return RingElement.from_coeffs(
+            self.ctx, tuple(f_add(fld, a, b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __mul__(self, other: "RingElement") -> "RingElement":
@@ -214,14 +219,14 @@ class RingElement:
                     ko = idx_b >= m
                 o = io + (m if ko else 0)
                 out[o] = f_add(fld, out[o], c)
-        return RingElement(ctx, tuple(out))
+        return RingElement.from_coeffs(ctx, tuple(out))
 
     def scale(self, c) -> "RingElement":
         """Multiply every coefficient by a field element (or an F_p int)."""
         fld = self.ctx.field
         if isinstance(c, int):
             c = fld.from_int(c)
-        return RingElement(self.ctx, tuple(f_mul(fld, c, a) for a in self.coeffs))
+        return RingElement.from_coeffs(self.ctx, tuple(f_mul(fld, c, a) for a in self.coeffs))
 
     def adjoint(self) -> "RingElement":
         """Rescale the x^i y^k coefficient by tau^{-i}."""
@@ -234,7 +239,7 @@ class RingElement:
             i = idx % m
             if i and c != fld.zero:
                 out[idx] = f_mul(fld, c, pows[-i])
-        return RingElement(ctx, tuple(out))
+        return RingElement.from_coeffs(ctx, tuple(out))
 
     def __repr__(self) -> str:
         terms = []
@@ -263,12 +268,14 @@ def _symmetric_orbits(m: int) -> list:
 
 
 def _on_orbits(ctx: RingCtx, k: int, orbits: list, values) -> RingElement:
-    """The element with coefficient values[o] at x^e y^k for each e in orbits[o]."""
-    coeffs = [ctx.field.zero] * ctx.group_size
+    """The element with coefficient values[o], reduced, at x^e y^k for each e in orbits[o]."""
+    n = ctx.field.n
+    flat = [0] * (ctx.m * n)  # half k
     for exps, c in zip(orbits, values):
         for e in exps:
-            coeffs[e + ctx.m * k] = c
-    return RingElement(ctx, tuple(coeffs))
+            flat[e * n : e * n + n] = c
+    half = pack(flat, ctx.lanes.bits)
+    return RingElement(ctx, 0, half) if k else RingElement(ctx, half, 0)
 
 
 def _orbit_basis(ctx: RingCtx, k: int, orbits: list) -> Tuple[RingElement, ...]:
@@ -324,23 +331,21 @@ def sample_element(ctx: RingCtx, rng: Random, full_support: bool = True) -> Ring
     """Random ring element; by default every coefficient is nonzero."""
     fld = ctx.field
     lo = 1 if full_support else 0
-    coeffs = tuple(
-        element_from_index(fld, rng.randrange(lo, fld.order))
-        for _ in range(ctx.group_size)
-    )
-    return RingElement(ctx, coeffs)
+    draws = [element_from_index(fld, rng.randrange(lo, fld.order)) for _ in range(ctx.group_size)]
+    return _packed(ctx, list(itertools.chain.from_iterable(draws)))
 
 
 def flatten(elem: RingElement) -> tuple:
     """All coefficient vectors concatenated into one F_p coordinate vector."""
-    return tuple(itertools.chain.from_iterable(elem.coeffs))
+    bits, count = elem.ctx.lanes.bits, elem.ctx.group_size * elem.ctx.field.n
+    return tuple(unpack(elem.rot | elem.refl << count // 2 * bits, count, bits))
 
 
-def unflatten(ctx: RingCtx, vec) -> RingElement:
-    """The element whose flatten is vec: consecutive runs of n coordinates."""
-    if len(vec) != ctx.group_size * ctx.field.n:
-        raise ValueError("coordinate vector has the wrong length")
-    return RingElement(ctx, tuple(zip(*[iter(vec)] * ctx.field.n)))
+def _packed(ctx: RingCtx, flat: list) -> RingElement:
+    """The element with flatten(elem) == flat, whose values are all below p."""
+    lanes = ctx.lanes
+    x = pack(flat, lanes.bits)
+    return RingElement(ctx, x & lanes.full, x >> ctx.m * ctx.field.n * lanes.bits)
 
 
 def ring_ctx_to_json(ctx: RingCtx) -> dict:
@@ -369,7 +374,8 @@ def element_from_coeffs(ctx: RingCtx, items) -> RingElement:
     field itself: ctx is trusted, so a transcript validates its field once.
     Every index and coefficient must be a plain int (not a float or bool).
     """
-    coeffs = [ctx.field.zero] * ctx.group_size
+    n = ctx.field.n
+    flat = [0] * (ctx.group_size * n)
     seen = set()
     for i, k, c in items:
         if type(i) is not int or type(k) is not int:
@@ -380,10 +386,9 @@ def element_from_coeffs(ctx: RingCtx, items) -> RingElement:
         if idx in seen:
             raise ValueError("duplicate coefficient entry")
         seen.add(idx)
-        coeffs[idx] = tuple(c)
-    flat = list(itertools.chain.from_iterable(coeffs))  # checked at once: lengths, types, range
-    if set(map(len, coeffs)) != {ctx.field.n} or set(map(type, flat)) != {int} or not (
-        0 <= min(flat) and max(flat) < ctx.field.p
-    ):
-        raise ValueError("coefficient is not a reduced field element")
-    return RingElement(ctx, tuple(coeffs))
+        if len(c) != n:
+            raise ValueError("coefficient is not a reduced field element")
+        flat[idx * n : idx * n + n] = c
+    if set(map(type, flat)) != {int} or not (0 <= min(flat) and max(flat) < ctx.field.p):
+        raise ValueError("coefficient is not a reduced field element")  # all at once
+    return _packed(ctx, flat)

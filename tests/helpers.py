@@ -152,7 +152,7 @@ def single(ctx: RingCtx, i: int, k: int, coeff=None) -> RingElement:
     """coeff * x^i y^k; coeff defaults to the field one."""
     coeffs = [ctx.field.zero] * ctx.group_size
     coeffs[i + ctx.m * k] = ctx.field.one if coeff is None else tuple(coeff)
-    return RingElement(ctx, tuple(coeffs))
+    return RingElement.from_coeffs(ctx, tuple(coeffs))
 
 
 def ring_one(ctx: RingCtx) -> RingElement:
@@ -169,7 +169,7 @@ def basis_a1(ctx: RingCtx):
         for j in range(m // 2 + 1):
             coeffs = [fld.zero] * ctx.group_size
             coeffs[j] = coeffs[-j % m] = tp
-            out.append(RingElement(ctx, tuple(coeffs)))
+            out.append(RingElement.from_coeffs(ctx, tuple(coeffs)))
         tp = schoolbook_mul(fld, tp, fld.t)
     return out
 
@@ -189,7 +189,7 @@ def naive_ring_mul(a: RingElement, b: RingElement) -> RingElement:
             i, k = dihedral_mul(m, g, h)
             c = schoolbook_mul(fld, schoolbook_mul(fld, ca, cb), cocycle(ctx, g, h))
             out[i + m * k] = tuple((x + y) % fld.p for x, y in zip(out[i + m * k], c))
-    return RingElement(ctx, tuple(out))
+    return RingElement.from_coeffs(ctx, tuple(out))
 
 
 def dense_basis_products(params):

@@ -854,13 +854,14 @@ def test_commands_never_reach_a_reference_path(tmp_path, monkeypatch, capsys):
          "--seed", "1", "--out", str(tmp_path / "t.csv")],
         ["selftest", "--seed", "1"],
     ]
-    called = set()
+    calls = []  # the code objects each command ran
 
     def profile(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            calls[-1].add(frame.f_code)
 
     for argv in commands:
+        calls.append(set())
         sys.setprofile(profile)
         try:
             code = cli.main(argv)
@@ -868,5 +869,11 @@ def test_commands_never_reach_a_reference_path(tmp_path, monkeypatch, capsys):
             sys.setprofile(None)
         assert code == 0, argv
     capsys.readouterr()
+    called = set().union(*calls)
     assert cli.cmd_attack.__code__ in called  # the profile saw the commands run
     assert sorted(names[c] for c in called & names.keys()) == []
+    # the twisted attack parses, builds, solves and replays on the packed
+    # halves: it never reads the dense coefficient view
+    twisted_attack = calls[commands.index(["attack", str(twisted)])]
+    assert twisted_kex.replay.__code__ in twisted_attack
+    assert ring.coeffs.fget.__code__ not in twisted_attack

@@ -281,7 +281,7 @@ def draw_element(data, ctx, support):
         "zero": st.just(0),
     }[support]
     coeffs = data.draw(st.lists(index, min_size=ctx.group_size, max_size=ctx.group_size))
-    return RingElement(ctx, tuple(element_from_index(ctx.field, c) for c in coeffs))
+    return RingElement.from_coeffs(ctx, tuple(element_from_index(ctx.field, c) for c in coeffs))
 
 
 def draw_params(data, max_m=8):
@@ -307,9 +307,9 @@ def draw_half(data, ctx, k):
     m = ctx.m
     empty = (ctx.field.zero,) * m
     if k == 0:
-        return RingElement(ctx, elem.coeffs[:m] + empty)
+        return RingElement.from_coeffs(ctx, elem.coeffs[:m] + empty)
     refl = elem.coeffs[m:]
-    return RingElement(ctx, empty + tuple(refl[min(e, -e % m)] for e in range(m)))
+    return RingElement.from_coeffs(ctx, empty + tuple(refl[min(e, -e % m)] for e in range(m)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,14 +368,15 @@ def test_products_at_the_lane_bound(p, n, m):
     assert ctx.lanes.bits == bits
     assert m * (p - 1) * (p**n - 1) < 1 << bits
     top, zero = (p - 1,) * n, (ctx.field.zero,) * m
-    left, right = RingElement(ctx, (top,) * m + zero), RingElement(ctx, zero + (top,) * m)
-    params = TwistedParams(ctx, RingElement(ctx, (top,) * (2 * m)))
+    left = RingElement.from_coeffs(ctx, (top,) * m + zero)
+    right = RingElement.from_coeffs(ctx, zero + (top,) * m)
+    params = TwistedParams(ctx, RingElement.from_coeffs(ctx, (top,) * (2 * m)))
     pair = keypair_from_secrets(params, left, right)
     assert pair.pk == (left * params.h) * right
     assert shared_key(pair, params.h) == (left * params.h) * right.adjoint()
     # the orbits partition the exponents, so the key is (c sum_i x^i) * pk * sum_j S_j^adj
     coeffs = {(i, j): top for i in range(m) for j in range(w)}
-    orbit_sum = RingElement(ctx, zero + (ctx.field.one,) * m)
+    orbit_sum = RingElement.from_coeffs(ctx, zero + (ctx.field.one,) * m)
     assert replay(params, coeffs, pair.pk) == (left * pair.pk) * orbit_sum.adjoint()
     # the attack reads u^a * h * S_j, lanes up to p^(n-1) * (p - 1), wherever
     # the paper's system of (n m)(n w) unknowns x 2mn equations fits the cap

@@ -21,7 +21,6 @@ from twoside.twisted_ring import (
     sample_a2,
     sample_element,
     sample_r1,
-    unflatten,
 )
 
 from helpers import (
@@ -174,12 +173,11 @@ def test_ring_mul_matches_naive_table_oracle():
 
 
 def lanes_times(g, y):
-    """flatten(g * y) for g in R1: RingLanes.times of g's packed rotation half
-    against the u-powers of each half of y, reduced by unpack."""
+    """flatten(g * y) for g in R1: RingLanes.times of g's rotation half
+    against the u-powers of each half of y, reduced by reduce_halves."""
     lanes = g.ctx.lanes
-    g_half = lanes.pack(flatten(g))[0]
-    rot, refl = (lanes.u_powers(x) for x in lanes.pack(flatten(y)))
-    return lanes.unpack(lanes.times(g_half, rot), lanes.times(g_half, refl))
+    rot, refl = (lanes.times(g.rot, lanes.u_powers(x)) for x in (y.rot, y.refl))
+    return flatten(RingElement(g.ctx, *lanes.reduce_halves(rot, refl)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,8 +191,8 @@ def test_times_matches_naive_ring_mul(data):
     g_half = data.draw(st.lists(index, min_size=m, max_size=m), label="g")
     y = data.draw(st.lists(index, min_size=2 * m, max_size=2 * m), label="y")
     zero = (ctx.field.zero,) * m
-    g = RingElement(ctx, tuple(element_from_index(ctx.field, c) for c in g_half) + zero)
-    y = RingElement(ctx, tuple(element_from_index(ctx.field, c) for c in y))
+    g = RingElement.from_coeffs(ctx, tuple(element_from_index(ctx.field, c) for c in g_half) + zero)
+    y = RingElement.from_coeffs(ctx, tuple(element_from_index(ctx.field, c) for c in y))
     assert lanes_times(g, y) == flatten(naive_ring_mul(g, y))
 
 
@@ -204,8 +202,8 @@ def test_times_at_the_lane_bound(p, n):
     # (p - 1)(q - 1), and slots 64 .. 126 of the unwrapped product wrap
     ctx = ring(p, n, 64)
     top = (p - 1,) * n
-    g = RingElement(ctx, (top,) * 64 + (ctx.field.zero,) * 64)
-    y = RingElement(ctx, (top,) * 128)
+    g = RingElement.from_coeffs(ctx, (top,) * 64 + (ctx.field.zero,) * 64)
+    y = RingElement.from_coeffs(ctx, (top,) * 128)
     assert 64 * (p - 1) * (p**n - 1) < 1 << ctx.lanes.bits
     assert lanes_times(g, y) == flatten(naive_ring_mul(g, y))
 
@@ -411,7 +409,28 @@ def test_flatten_round_trip():
         a = sample_element(ctx, rng, full_support=False)
         vec = flatten(a)
         assert len(vec) == 2 * m * n
-        assert unflatten(ctx, vec) == a
+        assert RingElement.from_coeffs(ctx, tuple(zip(*[iter(vec)] * n))) == a
+
+
+@pytest.mark.parametrize(
+    "p,n,m,bits", [(2, 8, 64, 16), (31, 4, 64, 32), (65521, 1, 64, 64), (3, 2, 3, 16)]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_coeffs_and_halves_round_trip_at_every_lane_width(p, n, m, bits, data):
+    ctx = ring(p, n, m)
+    assert ctx.lanes.bits == bits
+    top = ctx.field.order - 1
+    index = st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
+    coeffs = tuple(
+        element_from_index(ctx.field, i)
+        for i in data.draw(st.lists(index, min_size=2 * m, max_size=2 * m))
+    )
+    e = RingElement.from_coeffs(ctx, coeffs)
+    assert e.coeffs == coeffs
+    assert RingElement.from_coeffs(ctx, e.coeffs) == e
+    assert element_from_coeffs(ctx, element_to_coeffs(e)) == e
+    assert flatten(e) == tuple(itertools.chain.from_iterable(e.coeffs))
 
 
 def test_element_json_round_trip():
@@ -468,10 +487,20 @@ def test_ctx_mismatch_rejected():
 
 
 def test_element_rejects_coefficients_that_are_not_tuples():
-    # coefficients are stored as given, so lists would break == and hash
+    # the dense view's one form: a tuple of 2m tuples of n ints in 0..p-1,
+    # so that equal elements have equal halves
     ctx = ring(3, 2, 2)
     one = ring_one(ctx)
-    assert RingElement(ctx, one.coeffs) == one
+    assert RingElement.from_coeffs(ctx, one.coeffs) == one
     for coeffs in (list(one.coeffs), tuple(map(list, one.coeffs)), one.coeffs[1:]):
         with pytest.raises(ValueError, match="coefficients must be"):
-            RingElement(ctx, coeffs)
+            RingElement.from_coeffs(ctx, coeffs)
+    # unreduced, negative, bool or oversized coordinates
+    f2 = ring(2, 1, 3)
+    assert RingElement.from_coeffs(f2, ((1,),) * 6) != RingElement.zero(f2)
+    for coeffs in (((3,),) * 6, ((-1,),) + ((0,),) * 5, ((True,),) + ((0,),) * 5):
+        with pytest.raises(ValueError, match="not a reduced field element"):
+            RingElement.from_coeffs(f2, coeffs)
+    big = ring(65521, 1, 2)
+    with pytest.raises(ValueError, match="not a reduced field element"):
+        RingElement.from_coeffs(big, ((1 << 70,),) + ((0,),) * 3)
