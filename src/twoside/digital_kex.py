@@ -302,10 +302,13 @@ def replay(
     so no matrix product is formed; the sum runs on packed ranks.  Moving
     lanes commutes with lanewise max and min, so the sum over j is taken on
     the n row-left copies and rotated down once per i: 2n moves, not n^2.
-    Raises ValueError when other_pk is not n x n.
+    Raises ValueError when other_pk is not n x n or the solution has not
+    n^2 values.
     """
     n = params.n
     _require_size(n, other_pk.n, "matrix")
+    if len(solution) != n * n:
+        raise ValueError(f"solution has {len(solution)} values, not {n * n}")
     other = other_pk.flat()
     values, rank = _chain(solution, other)
     move, consts = mover(n, n, 16), _lane_constants(n)

@@ -223,12 +223,6 @@ def find_irreducible(p: int, n: int, rng: Random) -> Tuple[int, ...]:
             return cand
 
 
-def _is_primitive(t, modulus, p: int, n: int) -> bool:
-    """Whether the length-n vector t has order p^n - 1 in F_p[u] / modulus,
-    for a monic modulus of degree n; see _Kronecker.generates."""
-    return _Kronecker(p, modulus).generates(t)
-
-
 def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
     """Random search for a generator of the multiplicative group of F_{p^n}.
 

@@ -16,8 +16,9 @@ Field scalars are central and the field's coordinates u^0 .. u^{n-1} are an
 F_p-basis of F_{p^n}, so the products t^{a+b} * rot_i(h * S_j) of the
 paper's system span exactly what the n-fold fewer u^a * rot_i(h * S_j),
 a < n, span.  The attack solves that smaller system (system_rows, solve,
-replay); the paper's system (basis_products, attack_system,
-recover_shared_key) stays as the reference that recovers the same key.
+replay).  The paper's system (attack_system, recover_shared_key) is read
+from the same u^a * h * S_j lanes, scaled by t^s for s < 2n - 1, and
+recovers the same key.
 """
 
 from __future__ import annotations
@@ -184,25 +185,6 @@ def _h_s(params: TwistedParams) -> int:
     return sum([y << a * 2 * w * half for a, y in enumerate(ys)])
 
 
-def _fold(terms, fld) -> dict:
-    """{(i, j): sum of z * s} over the (i, j, z, s) terms, zero sums dropped.
-
-    z is an F_p int and s a field element, so each sum is one F_{p^n}
-    coefficient of the replay.  Only the reference recover_shared_key folds.
-    """
-    acc = {}
-    for i, j, z, s in terms:
-        c = acc.setdefault((i, j), [0] * fld.n)
-        for r, v in enumerate(s):
-            c[r] += z * v
-    coeffs = {}
-    for ij, c in acc.items():
-        c = tuple(v % fld.p for v in c)
-        if any(c):
-            coeffs[ij] = c
-    return coeffs
-
-
 def check_system_size(n: int, m: int) -> None:
     """Raise SizeCapError (a ValueError) when the attack system over F_{p^n}
     with dihedral m has more than MAX_SYSTEM_CELLS unknowns x equations."""
@@ -214,49 +196,38 @@ def check_system_size(n: int, m: int) -> None:
         )
 
 
-def basis_products(params: TwistedParams) -> Tuple[tuple, tuple, list]:
-    """Products L * h * R for L, R ranging over the secret-space bases.
-
-    L = t^a x^i (a outer, i inner) and R = t^b S_j (b outer, j inner), with
-    S_j the j-th symmetric orbit sum.  Field scalars are central and x^i
-    acts by a lane rotation, so L * h * R = t^{a+b} * rot_i(h * S_j): each
-    product is a rotated, t-power-scaled copy of one of the m//2 + 1
-    elements h * S_j, and equal products share one object.
-    """
-    ctx = params.ctx
-    fld, lanes = ctx.field, ctx.lanes
-    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
-    half, h_s = m * n * lanes.bits, _h_s(params)
-    ys = [h_s >> a * 2 * w * half & (1 << 2 * w * half) - 1 for a in range(n)]  # u^a * h * S_j
-    # t^s * rot_i(h * S_j) at (s * m + i) * w + j, for the scalars t^0 .. t^{2n-2}
-    # of a left times a right basis element, each scaled once per s
-    scaled = [
-        lanes.reduce(lanes.scale(ys, tp), 2 * w * m * n) for tp in powers(fld, fld.t, 2 * n - 1)
-    ]
-    halves = [[y >> k * half & lanes.full for k in range(2 * w)] for y in scaled]
-    elems = [
-        RingElement(ctx, lanes.rotate(hs[2 * j], i), lanes.rotate(hs[2 * j + 1], i))
-        for hs in halves for i in range(m) for j in range(w)
-    ]
-    products = [
-        elems[((a + b) * m + i) * w + j]
-        for a in range(n) for i in range(m) for b in range(n) for j in range(w)
-    ]
-    return basis_r1(ctx), basis_a2(ctx), products
-
-
 def attack_system(
     params: TwistedParams, target_pk: RingElement
 ) -> Tuple[list, tuple, tuple, tuple]:
     """Equations as F_p rows, the right-hand side, and the two bases.
 
+    Unknown (a, i, b, j) is the coefficient of L * h * R for L = t^a x^i
+    (a outer, i inner) and R = t^b S_j (b outer, j inner), S_j the j-th
+    symmetric orbit sum.  Field scalars are central and x^i acts by a lane
+    rotation, so L * h * R = t^{a+b} * rot_i(h * S_j).  The u-powers
+    u^a * h * S_j from _h_s are scaled once per t^s, s < 2n - 1, and read;
+    column (a, i, b, j) is element j of t^{a+b}'s values with both of its
+    halves rotated by i slots, and the rows are the columns transposed.
     Over the size cap it raises ValueError before building anything.
     """
-    check_system_size(params.ctx.field.n, params.ctx.m)
-    left_basis, right_basis, products = basis_products(params)
-    # gauss_solve wants equations as rows: transpose the flattened products
-    rows = list(zip(*(flatten(prod) for prod in products)))
-    return rows, flatten(target_pk), left_basis, right_basis
+    ctx = params.ctx
+    fld, lanes = ctx.field, ctx.lanes
+    n, m, w = fld.n, ctx.m, ctx.m // 2 + 1
+    check_system_size(n, m)
+    size, count = m * n, 2 * w * m * n  # lanes of a half, and of the w elements h * S_j
+    span, h_s = count * lanes.bits, _h_s(params)
+    ys = [h_s >> a * span & (1 << span) - 1 for a in range(n)]  # u^a * h * S_j
+    elems = []  # elems[s][i][j]: t^s * rot_i(h * S_j), flattened
+    for tp in powers(fld, fld.t, 2 * n - 1):
+        vals = lanes.values(lanes.scale(ys, tp), count)
+        # each half twice over, so rot_i, slot k - i to slot k, is one slice
+        twice = [vals[k * size : (k + 1) * size] * 2 for k in range(2 * w)]
+        elems.append([
+            [twice[2 * j][lo : lo + size] + twice[2 * j + 1][lo : lo + size] for j in range(w)]
+            for lo in range(size, 0, -n)
+        ])
+    columns = [col for a in range(n) for i in range(m) for b in range(n) for col in elems[a + b][i]]
+    return list(zip(*columns)), flatten(target_pk), basis_r1(ctx), basis_a2(ctx)
 
 
 def recover_shared_key(
@@ -269,24 +240,27 @@ def recover_shared_key(
     """Replay a solved combination against the other party's public element.
 
     The key is sum z * L * other_pk * R^adj over the solution.  As in
-    basis_products each term is t^{a+b} * rot_i(other_pk * S_j^adj), so the
+    attack_system each term is t^{a+b} * rot_i(other_pk * S_j^adj), so the
     solution folds into F_{p^n} coefficients c_ij = sum_{a,b} z * t^{a+b},
-    which replay turns into the key.
+    which replay turns into the key.  Raises ValueError unless the solution
+    has one value per pair of basis elements.
     """
     fld = params.ctx.field
-    m, w = params.ctx.m, params.ctx.m // 2 + 1
-    width = len(right_basis)
+    m, w, width = params.ctx.m, params.ctx.m // 2 + 1, len(right_basis)
+    if len(solution) != len(left_basis) * width:
+        raise ValueError(
+            f"solution has {len(solution)} values, not one per basis product "
+            f"({len(left_basis) * width})"
+        )
     t_pows = powers(fld, fld.t, 2 * fld.n - 1)
-
-    def terms():
-        for idx, z in enumerate(solution):
-            if z:
-                left, right = divmod(idx, width)
-                a, i = divmod(left, m)
-                b, j = divmod(right, w)
-                yield i, j, z, t_pows[a + b]
-
-    return replay(params, _fold(terms(), fld), other_pk)
+    acc = {}  # (i, j) -> c_ij, unreduced
+    for idx, z in enumerate(solution):
+        if z:
+            (a, i), (b, j) = divmod(idx // width, m), divmod(idx % width, w)
+            c = acc.setdefault((i, j), [0] * fld.n)
+            for r, v in enumerate(t_pows[a + b]):
+                c[r] += z * v
+    return replay(params, {ij: tuple(v % fld.p for v in c) for ij, c in acc.items()}, other_pk)
 
 
 def system_rows(params: TwistedParams) -> PackedRows:
@@ -360,21 +334,26 @@ def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingEl
     """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}.
 
     That is sum_j G_j * other_pk * S_j^adj with G_j = sum_i c_ij x^i in R1,
-    i taken mod m and j an orbit label, an int 0 <= j <= m//2 (else
-    ValueError, as for an other_pk of another ring).  S_j^adj = sum
-    tau^{-e} x^e y over the orbit of j, so in _sandwich's terms K'_j =
-    sum x^{-e} and K_j = sum tau^{-e} x^e: P is one rotation of G_j per
-    exponent e, and Q one scaling by twist_pows[-e] and rotation, with no
-    f_mul.  The orbits of the labels partition the exponents: m of each.
+    i taken mod m, j an orbit label, an int 0 <= j <= m//2, and c_ij n plain
+    ints in 0..p-1 (else ValueError, as for an other_pk of another ring).
+    S_j^adj = sum tau^{-e} x^e y over the orbit of j, so in _sandwich's
+    terms K'_j = sum x^{-e} and K_j = sum tau^{-e} x^e: P is one rotation of
+    G_j per exponent e, and Q one scaling by twist_pows[-e] and rotation,
+    with no f_mul.  The orbits of the labels partition the exponents: m of each.
     """
     _check_ring(params, other_pk)
     ctx = params.ctx
     lanes, pows = ctx.lanes, ctx.twist_pows
     p, n, m, w = ctx.field.p, ctx.field.n, ctx.m, ctx.m // 2 + 1
+    vals = list(chain.from_iterable(coeffs.values()))  # all at once, before any is summed mod p
+    if vals and (set(map(type, vals)) != {int} or not (0 <= min(vals) and max(vals) < p)):
+        raise ValueError(f"coefficient c_ij is not {n} plain ints in 0..{p - 1}")
     flats = {}  # j -> flatten(G_j)
     for (i, j), c in coeffs.items():
         if type(j) is not int or not 0 <= j < w:
             raise ValueError(f"orbit label j must be an int in 0..{w - 1}")
+        if len(c) != n:
+            raise ValueError(f"coefficient c_ij is not {n} plain ints in 0..{p - 1}")
         flat = flats.get(j)
         if flat is None:
             flat = flats[j] = [0] * (m * n)

@@ -484,18 +484,18 @@ def test_attack_twisted_builds_system_rows_once(tmp_path, monkeypatch, capsys):
     ]) == 0
     capsys.readouterr()
 
-    calls = {"system_rows": 0, "basis_products": 0}
+    calls = {"system_rows": 0, "attack_system": 0}
     for name in calls:
         real = getattr(twisted_kex, name)
 
-        def counted(params, name=name, real=real):
+        def counted(*args, name=name, real=real):
             calls[name] += 1
-            return real(params)
+            return real(*args)
 
         monkeypatch.setattr(twisted_kex, name, counted)
     assert cli.main(["attack", str(out)]) == 0
     # both directions solve one system; the paper's system is never built
-    assert calls == {"system_rows": 1, "basis_products": 0}
+    assert calls == {"system_rows": 1, "attack_system": 0}
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {
         "scheme", "unknowns", "equations", "solve_ms", "attack_ms",
@@ -504,6 +504,10 @@ def test_attack_twisted_builds_system_rows_once(tmp_path, monkeypatch, capsys):
     # (2, 2, 3): n * m * (m // 2 + 1) unknowns, 2 * m * n equations
     assert (report["unknowns"], report["equations"]) == (12, 12)
     assert report["attack_key_matches"] is True
+    # --dump-system builds the paper's system once, on top of the solve's
+    calls.update(system_rows=0)
+    assert cli.main(["attack", str(out), "--dump-system", str(tmp_path / "system.json")]) == 0
+    assert calls == {"system_rows": 1, "attack_system": 1}
 
 
 def test_attack_dump_system_twisted_is_paper_system(tmp_path, monkeypatch, capsys):
@@ -527,7 +531,7 @@ def test_attack_dump_system_twisted_is_paper_system(tmp_path, monkeypatch, capsy
 
 
 # SHA-256 of the --dump-system file of `exchange <flags> --seed 1`, recorded
-# before basis_products built its products by lane rotation
+# before the paper's system was built by lane rotation
 DUMP_DIGESTS = [
     (["--scheme", "twisted", "--p", "2", "--fext", "4", "--m", "6"],
      "a6db92a9d348070ba559d9ad9badffaa325cf706a661b93757fb9f78b26bc804"),
@@ -827,8 +831,7 @@ def test_commands_never_reach_a_reference_path(tmp_path, monkeypatch, capsys):
     ring, mat = twisted_ring.RingElement, matrices.SemiringMatrix
     oracles = [
         ring.__mul__, ring.__add__, ring.scale, ring.adjoint, twisted_ring.basis_r1,
-        twisted_ring.basis_a2, twisted_kex.basis_products, twisted_kex.attack_system,
-        twisted_kex.recover_shared_key, twisted_kex._fold,
+        twisted_ring.basis_a2, twisted_kex.attack_system, twisted_kex.recover_shared_key,
         gf._row_reduce, gf.gauss_solve_full, gf.gauss_solve,
         digital_kex.attack_columns, digital_kex.recover_shared_key,
         mat.__matmul__, mat.__add__, mat.scale, matrices.Circulant.expand,

@@ -473,6 +473,15 @@ def test_recover_shared_key_rejects_other_pk_of_wrong_size():
         recover_shared_key(params, (INF,) * 9, zeros(W, 4), pairs, gens)
 
 
+@pytest.mark.parametrize("size", [0, 8, 10])
+def test_replay_rejects_solution_of_wrong_length(size):
+    # n = 3 wants 9 values: 8 and 10 once returned a key, and () a wrong one
+    params = random_params(3, Random(18))
+    tr = run_exchange(params, Random(19))
+    with pytest.raises(ValueError, match=f"solution has {size} values, not 9"):
+        replay(params, (INF,) * size, tr.bob.pk)
+
+
 # -- validation and serialization -----------------------------------------------------
 
 

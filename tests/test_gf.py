@@ -147,7 +147,7 @@ def test_field_ctx_accepts_exactly_irreducible_modulus_and_primitive_t(p, n):
         modulus = head + (1,)
         irreducible = is_irreducible(modulus, p)
         for t in itertools.product(range(p), repeat=n):
-            if irreducible and gf._is_primitive(t, modulus, p, n):
+            if irreducible and gf._Kronecker(p, modulus).generates(t):
                 assert FieldCtx(p, n, modulus, t).t == t
             else:
                 reason = "generate" if irreducible else "modulus is reducible"

@@ -16,7 +16,6 @@ from twoside.twisted_kex import (
     TwistedParams,
     attack,
     attack_system,
-    basis_products,
     keygen,
     keypair_from_secrets,
     params_from_json,
@@ -246,7 +245,7 @@ def test_attack_rejects_unreachable_element():
     ctx = make_ring_ctx(make_test_field(2, 1), 1)
     h = ring_one(ctx)
     params = TwistedParams(ctx, h)
-    _, _, products = basis_products(params)
+    _, _, products = dense_basis_products(params)
     assert len(products) == 1
     span = {flatten(products[0].scale(k)) for k in range(2)}
     target = None
@@ -261,12 +260,6 @@ def test_attack_rejects_unreachable_element():
     assert target is not None
     with pytest.raises(AttackError):
         attack(params, target, h)
-
-
-def test_basis_products_count():
-    params = fixed_params(2, 2, 3)
-    left_basis, right_basis, products = basis_products(params)
-    assert len(products) == len(left_basis) * len(right_basis)
 
 
 # -- index-shift build and replay against the generic ring products ---------------
@@ -291,13 +284,6 @@ def draw_params(data, max_m=8):
     ctx = make_ring_ctx(make_test_field(p, n), m)
     support = data.draw(st.sampled_from(["full", "sparse", "zero"]), label="h")
     return TwistedParams(ctx, draw_element(data, ctx, support))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_basis_products_match_dense_products(data):
-    params = draw_params(data)
-    assert basis_products(params) == dense_basis_products(params)
 
 
 def draw_half(data, ctx, k):
@@ -466,6 +452,29 @@ def test_replay_rejects_orbit_labels_outside_zero_to_half_m(label):
     assert replay(params, {(0, 1): (1,)}, params.h) == replay(params, {(2, 1): (1,)}, params.h)
 
 
+@pytest.mark.parametrize("c", [(1, 0, 5), (1,), (4, 0), (3, 0), (-1, 0), (1.0, 0), (True, 0)])
+def test_replay_rejects_coefficients_that_are_not_reduced_field_elements(c):
+    # n = 2, p = 3: (1, 0, 5) once returned another key, (4, 0) was read as
+    # (1, 0), and -1 and 1.0 raised OverflowError and TypeError; an entry
+    # that wraps onto another slot is checked before it is summed mod p
+    params = fixed_params(3, 2, 4)
+    for coeffs in ({(0, 1): c}, {(0, 1): (1, 1), (4, 1): c}):
+        with pytest.raises(ValueError, match="coefficient c_ij"):
+            replay(params, coeffs, params.h)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 6])
+def test_recover_shared_key_rejects_solutions_of_another_length(extra):
+    # (3, 2, 4) has 8 x 6 = 48 basis products: 49 values once returned a
+    # wrong key, and 54 raised IndexError
+    params = fixed_params(3, 2, 4)
+    tr = run_exchange(params, Random(1))
+    left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
+    solution = [1] * (len(left_basis) * len(right_basis) + extra)
+    with pytest.raises(ValueError, match="one per basis product"):
+        recover_shared_key(params, solution, tr.bob.pk, left_basis, right_basis)
+
+
 def test_p2_products_never_reduce_through_unpack(monkeypatch):
     # at p = 2 RingLanes.reduce is one mask: _h_s, _sandwich and replay
     # unpack only lanes that are already 0 or 1, to read them
@@ -513,15 +522,26 @@ def test_exchange_rejects_secrets_outside_their_key_spaces():
         keypair_from_secrets(params, ring_one(other_ctx), reflection)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_attack_system_rows_are_dense_columns_transposed(data):
-    params = draw_params(data)
-    target = draw_element(data, params.ctx, "sparse")
+def assert_attack_system_is_dense(params, target):
     left_basis, right_basis, products = dense_basis_products(params)
     columns = [flatten(prod) for prod in products]
     rows = [tuple(col[r] for col in columns) for r in range(len(columns[0]))]
     assert attack_system(params, target) == (rows, flatten(target), left_basis, right_basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_attack_system_rows_are_dense_columns_transposed(data):
+    params = draw_params(data)
+    assert_attack_system_is_dense(params, draw_element(data, params.ctx, "sparse"))
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 4, 6), (31, 4, 4), (65521, 1, 8)])
+def test_attack_system_rows_are_dense_columns_transposed_at_wide_lanes(p, n, m):
+    # draw_params stops at n <= 3 and m <= 8: the benchmark's F_16 shape, and
+    # the ring's 16-, 32- and 64-bit lanes
+    params = fixed_params(p, n, m)
+    assert_attack_system_is_dense(params, run_exchange(params, Random(5)).alice.pk)
 
 
 @settings(max_examples=60, deadline=None)
@@ -697,7 +717,6 @@ def test_attack_system_size_cap(monkeypatch):
     def fail(*args):
         raise AssertionError("attack system built for an over-cap system")
 
-    monkeypatch.setattr(twisted_kex, "basis_products", fail)
     monkeypatch.setattr(twisted_kex, "_h_s", fail)
     tracemalloc.start()
     try:
