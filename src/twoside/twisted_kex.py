@@ -15,16 +15,18 @@ against the other party's public element reproduces the shared key.
 Field scalars are central and the field's coordinates u^0 .. u^{n-1} are an
 F_p-basis of F_{p^n}, so the products t^{a+b} * rot_i(h * S_j) of the
 paper's system span exactly what the n-fold fewer u^a * rot_i(h * S_j),
-a < n, span.  The attack solves that smaller system (system_rows, solve,
-replay).  The paper's system (attack_system, recover_shared_key) is read
-from the same u^a * h * S_j lanes, scaled by t^s for s < 2n - 1, and
-recovers the same key.
+a < n, span.  The attack solves that smaller system (system_rows, solve),
+and its solution vector is the one solution format: replay reads the
+rotation-subring factor G_j of each orbit j as a strided slice of it.  The
+paper's system (attack_system, recover_shared_key) is read from the same
+u^a * h * S_j lanes, scaled by t^s for s < 2n - 1, and its solution folds
+into that vector, so it recovers the same key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import chain
 from random import Random
 from typing import Tuple
 
@@ -240,27 +242,22 @@ def recover_shared_key(
     """Replay a solved combination against the other party's public element.
 
     The key is sum z * L * other_pk * R^adj over the solution.  As in
-    attack_system each term is t^{a+b} * rot_i(other_pk * S_j^adj), so the
-    solution folds into F_{p^n} coefficients c_ij = sum_{a,b} z * t^{a+b},
-    which replay turns into the key.  Raises ValueError unless the solution
-    has one value per pair of basis elements.
+    attack_system each term is t^{a+b} * rot_i(other_pk * S_j^adj), so z
+    adds z * t^{a+b}[r] to unknown (i, r, j) of system_rows' solution
+    vector, which replay turns into the key.  Raises ValueError unless the
+    solution has one plain int in 0..p-1 per pair of basis elements.
     """
     fld = params.ctx.field
-    m, w, width = params.ctx.m, params.ctx.m // 2 + 1, len(right_basis)
-    if len(solution) != len(left_basis) * width:
-        raise ValueError(
-            f"solution has {len(solution)} values, not one per basis product "
-            f"({len(left_basis) * width})"
-        )
-    t_pows = powers(fld, fld.t, 2 * fld.n - 1)
-    acc = {}  # (i, j) -> c_ij, unreduced
+    n, m, w, width = fld.n, params.ctx.m, params.ctx.m // 2 + 1, len(right_basis)
+    _check_solution(solution, len(left_basis) * width, fld.p, "one per basis product")
+    t_pows = powers(fld, fld.t, 2 * n - 1)
+    acc = [0] * (m * n * w)  # system_rows' solution vector, unreduced
     for idx, z in enumerate(solution):
         if z:
             (a, i), (b, j) = divmod(idx // width, m), divmod(idx % width, w)
-            c = acc.setdefault((i, j), [0] * fld.n)
             for r, v in enumerate(t_pows[a + b]):
-                c[r] += z * v
-    return replay(params, {ij: tuple(v % fld.p for v in c) for ij, c in acc.items()}, other_pk)
+                acc[(i * n + r) * w + j] += z * v
+    return replay(params, [v % fld.p for v in acc], other_pk)
 
 
 def system_rows(params: TwistedParams) -> PackedRows:
@@ -306,78 +303,64 @@ def _check_ring(params: TwistedParams, *keys: RingElement) -> None:
         raise ValueError("ring context mismatch")
 
 
-def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
-    """The replay coefficients {(i, j): c_ij} for target_pk, or None.
+def _check_solution(solution, size: int, p: int, per: str) -> None:
+    """Raise ValueError unless solution is size plain ints in 0..p-1."""
+    if len(solution) != size:
+        raise ValueError(f"solution has {len(solution)} values, not {per} ({size})")
+    if set(map(type, solution)) - {int} or not (0 <= min(solution) and max(solution) < p):
+        raise ValueError(f"solution values are not plain ints in 0..{p - 1}")
 
-    Solves system_rows(params) against target_pk with free variables zero;
-    c_ij = sum_a z_(i,a,j) * u^a has the coordinates (z_(i,a,j) for a < n),
-    and the nonzero ones are kept.  None means target_pk is outside the
-    span.  For a target g * h * k, such as an honest public key, replay then
-    recovers the key recover_shared_key does.  Raises ValueError when
-    target_pk lives in another ring.
+
+def solve(params: TwistedParams, system: PackedRows, target_pk: RingElement):
+    """The solution vector of system_rows(params) for target_pk, or None.
+
+    Unknown (i, a, j), value (i * n + a) * w + j with w = m//2 + 1, is the
+    coefficient of u^a * rot_i(h * S_j); free variables are zero.  None
+    means target_pk is outside the span.  For a target g * h * k, such as an
+    honest public key, replay then recovers the key recover_shared_key does.
+    Raises ValueError when target_pk lives in another ring.
     """
     _check_ring(params, target_pk)
-    z = gauss_solve_packed(system, flatten(target_pk))
-    if z is None:
-        return None
-    w = params.ctx.m // 2 + 1
-    nw = params.ctx.field.n * w
-    coeffs = {}
-    for k in compress(count(), z):  # the nonzero unknowns (i, a, j), few with free variables zero
-        i, j = k // nw, k % w
-        if (i, j) not in coeffs:
-            coeffs[i, j] = tuple(z[i * nw + j : (i + 1) * nw : w])
-    return coeffs
+    return gauss_solve_packed(system, flatten(target_pk))
 
 
-def replay(params: TwistedParams, coeffs: dict, other_pk: RingElement) -> RingElement:
-    """The key sum_{i,j} rot_i(c_ij * other_pk * S_j^adj) for coeffs {(i, j): c_ij}.
+def replay(params: TwistedParams, solution, other_pk: RingElement) -> RingElement:
+    """The key sum_j G_j * other_pk * S_j^adj for a solution vector of solve.
 
-    That is sum_j G_j * other_pk * S_j^adj with G_j = sum_i c_ij x^i in R1,
-    i taken mod m, j an orbit label, an int 0 <= j <= m//2, and c_ij n plain
-    ints in 0..p-1 (else ValueError, as for an other_pk of another ring).
+    G_j = sum_{i,a} z_(i,a,j) u^a x^i in R1 has as its rotation half the
+    slice solution[j::w], slot i and coordinate a, so it is one pack; an
+    all-zero slice adds nothing.  The solution must be m * n * w plain ints
+    in 0..p-1 (else ValueError, as for an other_pk of another ring).
     S_j^adj = sum tau^{-e} x^e y over the orbit of j, so in _sandwich's
     terms K'_j = sum x^{-e} and K_j = sum tau^{-e} x^e: P is one rotation of
     G_j per exponent e, and Q one scaling by twist_pows[-e] and rotation,
-    with no f_mul.  The orbits of the labels partition the exponents: m of each.
+    with no f_mul.  The orbits of j < w partition the exponents: m of each.
     """
     _check_ring(params, other_pk)
     ctx = params.ctx
     lanes, pows = ctx.lanes, ctx.twist_pows
     p, n, m, w = ctx.field.p, ctx.field.n, ctx.m, ctx.m // 2 + 1
-    vals = list(chain.from_iterable(coeffs.values()))  # all at once, before any is summed mod p
-    if vals and (set(map(type, vals)) != {int} or not (0 <= min(vals) and max(vals) < p)):
-        raise ValueError(f"coefficient c_ij is not {n} plain ints in 0..{p - 1}")
-    flats = {}  # j -> flatten(G_j)
-    for (i, j), c in coeffs.items():
-        if type(j) is not int or not 0 <= j < w:
-            raise ValueError(f"orbit label j must be an int in 0..{w - 1}")
-        if len(c) != n:
-            raise ValueError(f"coefficient c_ij is not {n} plain ints in 0..{p - 1}")
-        flat = flats.get(j)
-        if flat is None:
-            flat = flats[j] = [0] * (m * n)
-        s = i % m * n
-        old = flat[s : s + n]  # nonzero only when i wraps onto another entry's slot
-        flat[s : s + n] = [(a + b) % p for a, b in zip(old, c)] if any(old) else c
+    _check_solution(solution, m * n * w, p, "one per unknown of system_rows")
     rot_mult = refl_mult = 0
-    for j, flat in flats.items():
-        g = lanes.u_powers(pack(flat, lanes.bits))
-        for e in orbit(m, j):
-            rot_mult += lanes.rotate(g[0], -e)
-            refl_mult += lanes.rotate(lanes.scale(g, pows[-e]), e)
+    for j in range(w):
+        flat = solution[j::w]
+        if any(flat):
+            g = lanes.u_powers(pack(flat, lanes.bits))
+            for e in orbit(m, j):
+                rot_mult += lanes.rotate(g[0], -e)
+                refl_mult += lanes.rotate(lanes.scale(g, pows[-e]), e)
     return _sandwich(other_pk, rot_mult, refl_mult)
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:
     """Recover the shared key of the party that published target_pk."""
     _check_ring(params, target_pk, other_pk)  # before the build
-    coeffs = solve(params, system_rows(params), target_pk)
-    if coeffs is None:
+    solution = solve(params, system_rows(params), target_pk)
+    if solution is None:
         raise AttackError(
             "public element is outside the span of the basis products"
         )
-    return replay(params, coeffs, other_pk)
+    return replay(params, solution, other_pk)
 
 
 # -- serialization ------------------------------------------------------------

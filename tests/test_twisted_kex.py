@@ -361,9 +361,9 @@ def test_products_at_the_lane_bound(p, n, m):
     assert pair.pk == (left * params.h) * right
     assert shared_key(pair, params.h) == (left * params.h) * right.adjoint()
     # the orbits partition the exponents, so the key is (c sum_i x^i) * pk * sum_j S_j^adj
-    coeffs = {(i, j): top for i in range(m) for j in range(w)}
+    every = [p - 1] * (m * n * w)  # every c_ij = (p - 1, ...)
     orbit_sum = RingElement.from_coeffs(ctx, zero + (ctx.field.one,) * m)
-    assert replay(params, coeffs, pair.pk) == (left * pair.pk) * orbit_sum.adjoint()
+    assert replay(params, every, pair.pk) == (left * pair.pk) * orbit_sum.adjoint()
     # the attack reads u^a * h * S_j, lanes up to p^(n-1) * (p - 1), wherever
     # the paper's system of (n m)(n w) unknowns x 2mn equations fits the cap
     if (n * m) * (n * w) * (2 * m * n) <= MAX_SYSTEM_CELLS:
@@ -389,23 +389,32 @@ def test_products_scale_once_per_term_not_per_coefficient(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_replay_matches_term_by_term_products(data):
-    # any coefficients on any (i, j), j an orbit label up to m // 2 and i any
-    # int, taken mod m, so several entries can land on one rotation
+    # full, sparse and zero solution vectors: c_ij is the n values at
+    # (i * n + a) * w + j, a < n, and multiplies x^i * other * S_j^adj
     params = draw_params(data)
     ctx = params.ctx
-    m, fld = ctx.m, ctx.field
+    p, n, m, w = ctx.field.p, ctx.field.n, ctx.m, ctx.m // 2 + 1
     other = draw_element(data, ctx, data.draw(st.sampled_from(["full", "sparse", "zero"])))
-    keys = st.tuples(st.integers(-2 * m, 3 * m), st.integers(0, m // 2))
-    index = st.integers(0, fld.order - 1)
-    coeffs = data.draw(st.dictionaries(keys, index.map(lambda c: element_from_index(fld, c))))
+    size = m * n * w
+    kind = data.draw(st.sampled_from(["full", "sparse", "zero"]))
+    solution = [0] * size
+    if kind == "full":
+        solution = data.draw(st.lists(st.integers(1, p - 1), min_size=size, max_size=size))
+    elif kind == "sparse":
+        for k in data.draw(st.sets(st.integers(0, size - 1), max_size=4)):
+            solution[k] = data.draw(st.integers(1, p - 1))
     expected = RingElement.zero(ctx)
-    for (i, j), c in coeffs.items():
-        s_j = RingElement.zero(ctx)
-        for e in {j, -j % m}:  # S_j = x^j y + x^-j y, one term when j = -j mod m
-            s_j = s_j + single(ctx, e, 1)
-        term = naive_ring_mul(other, s_j.adjoint())
-        expected = expected + naive_ring_mul(single(ctx, i % m, 0, c), term)
-    assert replay(params, coeffs, other) == expected
+    for i in range(m):
+        for j in range(w):
+            c = tuple(solution[(i * n + a) * w + j] for a in range(n))
+            if not any(c):
+                continue
+            s_j = RingElement.zero(ctx)
+            for e in {j, -j % m}:  # S_j = x^j y + x^-j y, one term when j = -j mod m
+                s_j = s_j + single(ctx, e, 1)
+            term = naive_ring_mul(other, s_j.adjoint())
+            expected = expected + naive_ring_mul(single(ctx, i, 0, c), term)
+    assert replay(params, solution, other) == expected
 
 
 @pytest.mark.parametrize("p,n,m", [(2, 4, 16), (5, 1, 6), (7, 1, 8)])
@@ -432,35 +441,23 @@ def test_replay_multiplies_twice_and_scales_at_most_m_times(p, n, m, monkeypatch
     twisted_kex._h_s(params)
     assert f_muls == []
     honest = solve(params, system_rows(params), alice.pk)
-    top = (p - 1,) * n
-    every = {(i, j): top for i in range(m) for j in range(m // 2 + 1)}
-    for coeffs in (honest, every, {}):
+    size = m * n * (m // 2 + 1)
+    for solution in (honest, [p - 1] * size, [0] * size):
         counts.update(times=0, scale=0)
-        replay(params, coeffs, bob.pk)
+        replay(params, solution, bob.pk)
         assert counts["times"] == 2
         assert counts["scale"] <= m
     assert f_muls == []
 
 
-@pytest.mark.parametrize("label", [2, 3, -1, 1.0, True])
-def test_replay_rejects_orbit_labels_outside_zero_to_half_m(label):
-    # m = 2 has the labels 0 and 1; j = m once read as label 0 twice, and
-    # j = m + 1 rotated past the twist table
-    params = fixed_params(3, 1, 2)
-    with pytest.raises(ValueError, match="orbit label"):
-        replay(params, {(0, label): (1,)}, params.h)
-    assert replay(params, {(0, 1): (1,)}, params.h) == replay(params, {(2, 1): (1,)}, params.h)
-
-
-@pytest.mark.parametrize("c", [(1, 0, 5), (1,), (4, 0), (3, 0), (-1, 0), (1.0, 0), (True, 0)])
+@pytest.mark.parametrize("c", [[1] * 23, [1] * 25] + [[1] * 23 + [v] for v in (3, 4, -1, 1.0, True)])
 def test_replay_rejects_coefficients_that_are_not_reduced_field_elements(c):
-    # n = 2, p = 3: (1, 0, 5) once returned another key, (4, 0) was read as
-    # (1, 0), and -1 and 1.0 raised OverflowError and TypeError; an entry
-    # that wraps onto another slot is checked before it is summed mod p
+    # n = 2, p = 3, m = 4 has 4 * 2 * 3 = 24 unknowns: 23 or 25 values, a
+    # value of p or p + 1 that would be read mod p, and -1 and 1.0 that would
+    # raise OverflowError and TypeError, and True, which is no plain int
     params = fixed_params(3, 2, 4)
-    for coeffs in ({(0, 1): c}, {(0, 1): (1, 1), (4, 1): c}):
-        with pytest.raises(ValueError, match="coefficient c_ij"):
-            replay(params, coeffs, params.h)
+    with pytest.raises(ValueError, match="solution"):
+        replay(params, c, params.h)
 
 
 @pytest.mark.parametrize("extra", [-1, 1, 6])
@@ -472,6 +469,18 @@ def test_recover_shared_key_rejects_solutions_of_another_length(extra):
     left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
     solution = [1] * (len(left_basis) * len(right_basis) + extra)
     with pytest.raises(ValueError, match="one per basis product"):
+        recover_shared_key(params, solution, tr.bob.pk, left_basis, right_basis)
+
+
+@pytest.mark.parametrize("first", [4, -2, True, 1.0])
+def test_recover_shared_key_rejects_values_outside_zero_to_p(first):
+    # (3, 2, 4): a first value of 4, -2 or True once returned the key of 1
+    params = fixed_params(3, 2, 4)
+    tr = run_exchange(params, Random(1))
+    left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
+    solution = [1] * (len(left_basis) * len(right_basis))
+    solution[0] = first
+    with pytest.raises(ValueError, match="plain ints in 0..2"):
         recover_shared_key(params, solution, tr.bob.pk, left_basis, right_basis)
 
 
@@ -583,18 +592,20 @@ def test_solve_agrees_with_paper_system(data):
     target = alice.pk if kind == "honest" else draw_element(data, ctx, kind)
     rows, rhs, left_basis, right_basis = attack_system(params, target)
     oracle = gauss_solve(rows, rhs, ctx.field.p)
-    coeffs = solve(params, system_rows(params), target)
-    assert (coeffs is None) == (oracle is None)
-    if coeffs is None:
+    z = solve(params, system_rows(params), target)
+    assert (z is None) == (oracle is None)
+    if z is None:
         return
     # c_ij multiplies x^i * h * S_j, the dense product of left i and right j
+    n, m, w = ctx.field.n, ctx.m, ctx.m // 2 + 1
     products = dense_basis_products(params)[2]
     span = RingElement.zero(ctx)
-    for (i, j), c in coeffs.items():
-        assert any(c)
-        span = span + products[i * len(right_basis) + j].scale(c)
+    for i in range(m):
+        for j in range(w):
+            c = tuple(z[(i * n + a) * w + j] for a in range(n))
+            span = span + products[i * len(right_basis) + j].scale(c)
     assert span == target
-    key = replay(params, coeffs, bob.pk)
+    key = replay(params, z, bob.pk)
     assert key == recover_shared_key(params, oracle, bob.pk, left_basis, right_basis)
     if kind == "honest":
         assert key == shared_key(alice, bob.pk)
@@ -604,9 +615,9 @@ def test_solve_agrees_with_paper_system(data):
 def test_solve_zero_target_gives_no_terms(p, n, m):
     params = fixed_params(p, n, m)
     zero = RingElement.zero(params.ctx)
-    coeffs = solve(params, system_rows(params), zero)
-    assert coeffs == {}
-    assert replay(params, coeffs, params.h) == zero
+    z = solve(params, system_rows(params), zero)
+    assert z == [0] * (m * n * (m // 2 + 1))
+    assert replay(params, z, params.h) == zero
 
 
 def unpacked_rows(system):
