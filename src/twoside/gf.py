@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 MAX_PRIME = (1 << 16) - 1
 MAX_DEGREE = 8
@@ -113,28 +113,22 @@ class _Kronecker:
     Algebra, 8.4).  A product is one int multiply, which leaves 2n - 1
     lanes of at most n (p - 1)^2.  Each lane k >= n is folded back as that
     lane times u^k mod f, one multiply-add each, so every lane then holds
-    at most bound = n (p - 1)^2 (1 + (n - 1)(p - 1)).  All lanes are reduced
-    mod p at once by Barrett's method (CRYPTO '86): for v < 2^B, with
-    B = bitlen(bound), s = B + bitlen(p) and M = ceil(2^s / p), (v M) >> s
-    is exactly v // p, since v (M - 2^s / p) < 2^(B - s + bitlen(p)) / p <= 1/p.
-    A lane holds (2^B - 1) M, so the lanes of x M never carry into each
-    other and each quotient reads out below the next lane's low s bits.
+    at most bound = n (p - 1)^2 (1 + (n - 1)(p - 1)).  reduce is their
+    lane_mod, one pass as a lane holds bound << bitlen(bound) + 1.
     f need only be monic: Rabin's test runs on candidates that are not
     irreducible.
     """
 
-    __slots__ = ("p", "n", "bits", "lane", "low", "folds", "m", "s", "qmask")
+    __slots__ = ("p", "n", "bits", "lane", "low", "folds", "reduce")
 
     def __init__(self, p: int, modulus: Sequence[int]):
         n = len(modulus) - 1
         bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
-        s = bound.bit_length() + p.bit_length()
-        m = -(-(1 << s) // p)
-        bits = lane_width(((1 << bound.bit_length()) - 1) * m)
-        self.p, self.n, self.bits, self.m, self.s = p, n, bits, m, s
+        bits = lane_width(bound << bound.bit_length() + 1)
+        self.p, self.n, self.bits = p, n, bits
         self.lane = (1 << bits) - 1
         self.low = (1 << n * bits) - 1
-        self.qmask = self.low // self.lane * ((1 << bits - s) - 1)
+        self.reduce = lane_mod(p, bound, bits, n)
         # (shift of lane k, u^k mod f) for k = n .. 2n - 2: u^n = -(f_0 + .. + f_{n-1} u^{n-1}),
         # and u times a reduced element shifts it up one lane, its top lane times u^n
         top = (n - 1) * bits
@@ -151,10 +145,6 @@ class _Kronecker:
     def unpack(self, x: int) -> tuple:
         """The n coefficients of x."""
         return tuple(unpack(x, self.n, self.bits))
-
-    def reduce(self, x: int) -> int:
-        """x with every lane, at most 2^bitlen(bound) - 1, reduced mod p."""
-        return x - self.p * (((x * self.m) >> self.s) & self.qmask)
 
     def mul(self, x: int, y: int) -> int:
         z = x * y
@@ -237,10 +227,6 @@ def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
             return cand
 
 
-def _pad_to(c: Sequence[int], n: int) -> Tuple[int, ...]:
-    return tuple(c) + (0,) * (n - len(c))
-
-
 @dataclass(frozen=True)
 class FieldCtx:
     """F_{p^n} as F_p[u] modulo a monic irreducible; all invariants re-checked.
@@ -276,8 +262,9 @@ class FieldCtx:
             if len(t) != n or any(not (0 <= c < p) for c in t):
                 raise ValueError("t must be a length-n coefficient vector mod p")
             raise ValueError("t must generate the multiplicative group")
-        object.__setattr__(self, "_zero", (0,) * n)
-        object.__setattr__(self, "_one", (1,) + (0,) * (n - 1))
+        object.__setattr__(self, "order", p**n)
+        object.__setattr__(self, "zero", (0,) * n)
+        object.__setattr__(self, "one", (1,) + (0,) * (n - 1))
         # f_mul is cached on the context: hash the fields once
         object.__setattr__(self, "_hash", hash((p, n, self.modulus, self.t)))
         # f_pow, and so the twist root of every ring over this field, runs on it
@@ -285,18 +272,6 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def order(self) -> int:
-        return self.p**self.n
-
-    @property
-    def zero(self) -> tuple:
-        return self._zero
-
-    @property
-    def one(self) -> tuple:
-        return self._one
 
     def from_int(self, c: int) -> tuple:
         """Embed an integer as a constant field element."""
@@ -338,7 +313,8 @@ def f_mul(ctx: FieldCtx, a, b) -> tuple:
     p, n = ctx.p, ctx.n
     if n == 1:
         return ((a[0] * b[0]) % p,)
-    return _pad_to(_pmod(_pmul(a, b, p), ctx.modulus, p), n)
+    c = _pmod(_pmul(a, b, p), ctx.modulus, p)
+    return c + (0,) * (n - len(c))
 
 
 def f_pow(ctx: FieldCtx, a, e: int) -> tuple:
@@ -480,11 +456,11 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # array type codes by lane width; a width without one packs through bytes
 _LANE_CODES = {array(code).itemsize * 8: code for code in "HIQ"}
 # Lanes divisible by p that _eliminate_fp's row walk skips one at a time,
-# counted from the row's last multiply-add, before it reduces the row mod p.
-# An unreduced lane is divisible by p about once in p, so a live row meets k
-# of them in a row with probability about p^-k (3^-8 < 2e-4).  Reducing at
-# the first or second one made the (5,2,12) and (3,8,4) attack solves 1.7-3x
-# slower; runs of 4 to 16 timed within noise of never reducing.
+# counted from the row's last multiply-add, before one lane_mod of the row; a
+# live row meets k in a row with probability about p^-k.  Solve medians in ms
+# for runs of 2/4/8/16 (in-process, 2-vCPU shared host, Python 3.11): (3,2,4)
+# .068/.075/.080/.074, (7,1,8) .124/.121/.116/.123, (5,2,12) 1.25/1.09/1.08/1.08,
+# (3,8,4) .86/.79/.77/.75, (3,2,16) 2.60/2.43/2.39/2.28: none wins everywhere.
 _MOD_P_RUN = 8
 
 
@@ -496,13 +472,48 @@ def lane_width(bound: int) -> int:
     return bits
 
 
+# a shape's fields, rings and solves all reduce the same lanes: build them once
+@lru_cache(maxsize=32)
+def lane_mod(p: int, bound: int, bits: int, count: int) -> Callable[[int], int]:
+    """mod(x): x with each of its count lanes, bits wide (a multiple of 8) and
+    at most bound (p <= bound < 2^bits), replaced by that lane mod p: the one
+    reduction of packed F_p lanes.  At p = 2 one AND with bit 0 of every lane.
+
+    At odd p Barrett's method (CRYPTO '86): with M = ceil(2^s / p) and
+    e = M p - 2^s < p, v M / 2^s = v / p + v e / (p 2^s), so (v M) >> s is
+    v // p for every v <= bound once bound e < 2^s.  s is the least such, at
+    most bitlen(bound) + bitlen(p), so M <= 2^(bitlen(bound) + 1).  Each of
+    the fewest passes P with bound M < 2^(P bits), at most 3, takes lanes
+    k, k + P, .., whose products with M never meet, and reads each quotient
+    from bits s .. P bits - 1 of its product.  p times a quotient is at most
+    its lane, so nothing borrows.  The masks come from bytes patterns.
+    """
+    size = bits // 8
+    if p == 2:
+        return int.from_bytes(b"\1".ljust(size, b"\0") * count, "little").__and__
+    s = bound.bit_length()
+    while bound * (-(1 << s) % p) >> s:
+        s += 1
+    m = -(-(1 << s) // p)
+    passes = -(-(bound * m).bit_length() // bits)
+    ones = int.from_bytes(b"\1".ljust(passes * size, b"\0") * -(-count // passes), "little")
+    quotients, lanes = ones * ((1 << passes * bits - s) - 1), ones * ((1 << bits) - 1)
+    if passes == 1:
+        return lambda x: x - p * (x * m >> s & quotients)
+    masks = [(lanes << k, quotients << k) for k in range(0, passes * bits, bits)]
+    (l0, q0), (l1, q1), (l2, q2) = masks + [(0, 0)] * (3 - passes)  # quotients: disjoint lanes
+    return lambda x: x - p * (
+        (x & l0) * m >> s & q0 | (x & l1) * m >> s & q1 | (x & l2) * m >> s & q2)
+
+
 def lane_bits(p: int, rows: int) -> int:
     """Lane width of a packed system of rows equations over F_p.
 
     1 for p = 2, which eliminates with XOR.  Otherwise the lane_width of
     p + rows * (p - 1)^2: a row gets at most one multiple (p - f) * pivot_row,
     with f and the reduced pivot row's entries below p, per pivot, so no lane
-    of a row that started below p ever carries into the next.
+    of a row that started below p ever carries into the next.  _eliminate_fp
+    reduces such lanes by the lane_mod of that bound.
     """
     return 1 if p == 2 else lane_width(p + rows * (p - 1) ** 2)
 
@@ -613,12 +624,14 @@ def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
     from lane 0 and shifted down as it goes, lane 0 being column col.  A
     lane divisible by p is skipped; a lane f = lane % p != 0 is cleared by
     one multiply-add with the pivot that holds col, or, where none does,
-    the row is reduced to a leading 1 (unpack, mod, scale, repack) and
-    becomes that pivot; at col == c it reads 0 = b.  The leads of any such
-    basis are the pivot columns of the reduced form, so row order does not
-    change the solution.  Back-substitution over the pivots in descending
-    column order, free variables zero.
+    the row is reduced to a leading 1 (mod p, scaled by 1/f, mod p again,
+    both by one lane_mod over lane_bits' bound) and becomes that pivot; at
+    col == c it reads 0 = b.  The leads of any such basis are the pivot
+    columns of the reduced form, so row order does not change the solution.
+    Back-substitution over the pivots in descending column order, free
+    variables zero.
     """
+    mod = lane_mod(p, p + len(rows) * (p - 1) ** 2, bits, c + 1)
     mask = (1 << bits) - 1
     basis = [None] * c  # lead column -> the pivot's reduced lanes past it, as one int
     pivots = []  # (column, reduced lanes from that column to the right-hand side)
@@ -637,22 +650,19 @@ def _eliminate_fp(rows: list, c: int, p: int, bits: int) -> Optional[list]:
                     return None
                 tail = basis[col]
                 if tail is None:
-                    inv = pow(f, -1, p)
-                    lanes = [x * inv % p for x in unpack(v, c + 1 - col, bits)]
-                    pivots.append((col, lanes))
-                    basis[col] = pack(lanes, bits) >> bits
+                    v = mod(mod(v) * pow(f, -1, p))
+                    pivots.append((col, unpack(v, c + 1 - col, bits)))
+                    basis[col] = v >> bits
                     break
                 # lane col + f + (p - f) * 1 is divisible by p: drop it, add the rest
                 v = (v >> bits) + (p - f) * tail
                 divisible = 0
             else:
-                # a lane divisible by p is skipped alone; after _MOD_P_RUN of them
-                # since the last multiply-add the whole row is reduced mod p once,
-                # which zeroes every such lane, so a row made dependent costs one
-                # pass per operation, not one shift per lane
+                # skipped alone; the _MOD_P_RUN-th since the last multiply-add reduces
+                # the whole row once, so a dependent row costs a pass, not a shift per lane
                 divisible += 1
                 if divisible == _MOD_P_RUN:
-                    v = pack([x % p for x in unpack(v, c + 1 - col, bits)], bits)
+                    v = mod(v)
                     continue
                 v >>= bits
             col += 1

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoside import gf, twisted_kex
+from twoside import gf, twisted_kex, twisted_ring
 from twoside.gf import (
     FieldCtx,
     element_from_index,
@@ -283,6 +283,39 @@ def test_lanewise_reduction_is_mod_p_up_to_the_bound(p, n):
         lanes = [values[(k + r) % len(values)] for r in range(n)]
         reduced = kernel.reduce(gf.pack(lanes, kernel.bits))
         assert list(gf.unpack(reduced, n, kernel.bits)) == [v % p for v in lanes]
+
+
+@st.composite
+def lane_mod_layouts(draw):
+    """(p, bound, bits, count) of a gf.lane_mod as one of its three callers
+    builds it: the field kernel (n lanes up to its fold bound), the ring
+    lanes (up to 2w m n n lanes up to 2^bits - 1, w = m//2 + 1) and the
+    odd-p solve (c + 1 lanes up to lane_bits' bound, 2mn rows at most)."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 31, 257, 1021, 65521)), label="p")
+    n = draw(st.integers(1, max(n for n in range(1, gf.MAX_DEGREE + 1) if p**n <= gf.MAX_ORDER)))
+    m = draw(st.integers(1, twisted_ring.MAX_M))
+    caller = draw(st.sampled_from(("kernel", "ring") + ("solve",) * (p > 2)), label="caller")
+    if caller == "kernel":
+        return p, n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1)), gf._Kronecker(p, (0,) * n + (1,)).bits, n
+    if caller == "ring":
+        bits = gf.lane_width(m * (p - 1) * (p**n - 1))
+        return p, (1 << bits) - 1, bits, draw(st.integers(1, 2 * (m // 2 + 1) * m * n * n))
+    rows = draw(st.integers(1, 2 * m * n))
+    count = draw(st.integers(1, m * n * (m // 2 + 1) + 1))
+    return p, p + rows * (p - 1) ** 2, gf.lane_bits(p, rows), count
+
+
+@settings(max_examples=400, deadline=None)
+@given(lane_mod_layouts(), st.randoms(use_true_random=False))
+def test_lane_mod_matches_lanewise_mod(layout, rng):
+    # 0, the bound, the largest lane up to the bound that is p - 1 mod p (where
+    # Barrett's quotient is closest to rounding up) and random lanes
+    p, bound, bits, count = layout
+    edge = bound - (bound + 1) % p
+    values = [rng.choice((0, bound, edge, rng.randint(0, bound))) for _ in range(count)]
+    reduced = gf.lane_mod(p, bound, bits, count)(gf.pack(values, bits))
+    assert reduced >> count * bits == 0
+    assert list(gf.unpack(reduced, count, bits)) == [v % p for v in values]
 
 
 def test_field_powers_never_reach_the_schoolbook_product(monkeypatch):

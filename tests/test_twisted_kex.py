@@ -688,24 +688,37 @@ def test_packed_solve_matches_full_on_honest_keys(p, n, m):
 @pytest.mark.parametrize("p,n,m", [(3, 2, 16), (3, 8, 4)])
 @pytest.mark.parametrize("seed", range(5))
 def test_mod_p_pass_runs_at_most_once_per_row_operation(p, n, m, seed, monkeypatch):
-    # each pivot normalization and each mod-p pass over a row packs once; the
-    # count of divisible lanes restarts at every multiply-add, so a row made
-    # dependent costs about one pass.  Carried across a row's operations it
-    # reads about 2 packs per row here, and the solve runs slower.
+    # pivot normalizations plus mod-p passes over a row: the count of
+    # divisible lanes restarts at every multiply-add, so a row made dependent
+    # costs about one pass.  Carried across a row's operations it reads about
+    # 2 per row here, and the solve runs slower.  A normalization reduces
+    # twice and unpacks its pivot once; a pass reduces once.
     params = random_params(p, n, m, Random(seed))
     target = flatten(run_exchange(params, Random(seed)).alice.pk)
     system = system_rows(params)
-    packs = 0
-    pack = gf.pack
+    calls = {"mod": 0, "unpack": 0}
+    lane_mod, unpack = gf.lane_mod, gf.unpack
 
-    def counting(values, bits):
-        nonlocal packs
-        packs += 1
-        return pack(values, bits)
+    def counting_lane_mod(*layout):
+        mod = lane_mod(*layout)
 
-    monkeypatch.setattr(gf, "pack", counting)
+        def counted(x):
+            calls["mod"] += 1
+            return mod(x)
+
+        return counted
+
+    def counting_unpack(*args):
+        calls["unpack"] += 1
+        return unpack(*args)
+
+    monkeypatch.setattr(gf, "lane_mod", counting_lane_mod)
+    monkeypatch.setattr(gf, "unpack", counting_unpack)
     assert gauss_solve_packed(system, target) is not None
-    assert packs < 1.5 * len(system.rows)
+    normalizations = calls["unpack"]
+    passes = calls["mod"] - 2 * normalizations
+    assert normalizations > 0 and passes >= 0
+    assert normalizations + passes < 1.5 * len(system.rows)
 
 
 def test_system_rows_match_transposed_columns_at_benchmark_shape():
