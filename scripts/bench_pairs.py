@@ -1,10 +1,11 @@
 """Alternating before/after runs of the benchmark on two checkouts.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...]
-           [--pairs 10] [--seconds 12] [--seed 2] [--out BENCH.json]
+           [--seconds T] [--seed 2] [--out BENCH.json]
 
 Runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` in each
-checkout, one after the other: the parent first in odd pairs (1, 3, ..),
+checkout, 10 pairs of runs per workload, T by default the change's
+BENCHMARK.json `run_seconds`: the parent first in odd pairs (1, 3, ..),
 the change first in even ones, so a drift of the host weighs on both sides
 alike.  For every end-to-end metric of BENCHMARK.json it reports, per
 workload, each side's median and quartiles and how many pairs the change
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("digital-n8", "twisted-p2-wide", "twisted-grid")
+PAIRS = 10
 
 
 def commit(tree: Path):
@@ -69,13 +71,10 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=12.0)
+    ap.add_argument("--seconds", type=float)
     ap.add_argument("--seed", type=int, default=2)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
-    if args.pairs < 2 or args.seconds <= 0:
-        ap.error("need at least 2 pairs and positive --seconds")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
@@ -85,22 +84,25 @@ def main(argv=None) -> int:
                   " lowers setup_s and peak_rss_mb", file=sys.stderr)
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    if seconds <= 0:
+        ap.error("--seconds must be positive")
     report = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         # set for every run; the caller's own value, which a reader of other runs may need
         "PYTHONDONTWRITEBYTECODE": {"runs": "1", "caller": os.environ.get("PYTHONDONTWRITEBYTECODE")},
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": args.seed, "seconds": seconds, "pairs": PAIRS,
         "commits": {side: commit(tree) for side, tree in trees.items()},
         "pycache": {side: has_pycache(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in args.workload or WORKLOADS:
         runs = {"parent": [], "change": []}
-        for k in range(1, args.pairs + 1):
+        for k in range(1, PAIRS + 1):
             for side in ("parent", "change") if k % 2 else ("change", "parent"):
-                runs[side].append(run(trees[side], workload, args.seed, args.seconds))
-            print(f"{workload} pair {k}/{args.pairs} done", file=sys.stderr)
+                runs[side].append(run(trees[side], workload, args.seed, seconds))
+            print(f"{workload} pair {k}/{PAIRS} done", file=sys.stderr)
         metrics = {}
         for name, direction in better.items():
             got = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
             metrics[name] = {
                 "unit": runs["parent"][0]["metrics"][name]["unit"], "better": direction,
                 "parent": summary(got["parent"]), "change": summary(got["change"]),
-                "change_wins": f"{wins}/{args.pairs}", "values": got,
+                "change_wins": f"{wins}/{PAIRS}", "values": got,
             }
         report["workloads"][workload] = {
             "correct": all(r["correct"] for rs in runs.values() for r in rs),

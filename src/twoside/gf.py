@@ -227,6 +227,10 @@ def find_primitive(p: int, n: int, modulus: Sequence[int], rng: Random):
             return cand
 
 
+def _pad_to(c: Sequence[int], n: int) -> Tuple[int, ...]:
+    return tuple(c) + (0,) * (n - len(c))
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """F_{p^n} as F_p[u] modulo a monic irreducible; all invariants re-checked.
@@ -262,9 +266,8 @@ class FieldCtx:
             if len(t) != n or any(not (0 <= c < p) for c in t):
                 raise ValueError("t must be a length-n coefficient vector mod p")
             raise ValueError("t must generate the multiplicative group")
-        object.__setattr__(self, "order", p**n)
-        object.__setattr__(self, "zero", (0,) * n)
-        object.__setattr__(self, "one", (1,) + (0,) * (n - 1))
+        object.__setattr__(self, "_zero", (0,) * n)
+        object.__setattr__(self, "_one", (1,) + (0,) * (n - 1))
         # f_mul is cached on the context: hash the fields once
         object.__setattr__(self, "_hash", hash((p, n, self.modulus, self.t)))
         # f_pow, and so the twist root of every ring over this field, runs on it
@@ -272,6 +275,18 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def order(self) -> int:
+        return self.p**self.n
+
+    @property
+    def zero(self) -> tuple:
+        return self._zero
+
+    @property
+    def one(self) -> tuple:
+        return self._one
 
     def from_int(self, c: int) -> tuple:
         """Embed an integer as a constant field element."""
@@ -313,8 +328,7 @@ def f_mul(ctx: FieldCtx, a, b) -> tuple:
     p, n = ctx.p, ctx.n
     if n == 1:
         return ((a[0] * b[0]) % p,)
-    c = _pmod(_pmul(a, b, p), ctx.modulus, p)
-    return c + (0,) * (n - len(c))
+    return _pad_to(_pmod(_pmul(a, b, p), ctx.modulus, p), n)
 
 
 def f_pow(ctx: FieldCtx, a, e: int) -> tuple:
@@ -472,8 +486,9 @@ def lane_width(bound: int) -> int:
     return bits
 
 
-# a shape's fields, rings and solves all reduce the same lanes: build them once
-@lru_cache(maxsize=32)
+# a shape's field kernel, ring and odd-p solve reduce the same lanes each time:
+# build them once; 16 layouts hold the 13 of a round robin over five shapes
+@lru_cache(maxsize=16)
 def lane_mod(p: int, bound: int, bits: int, count: int) -> Callable[[int], int]:
     """mod(x): x with each of its count lanes, bits wide (a multiple of 8) and
     at most bound (p <= bound < 2^bits), replaced by that lane mod p: the one

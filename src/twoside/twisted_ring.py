@@ -23,14 +23,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import mul
 from random import Random
 from typing import Callable, NamedTuple, Sequence, Tuple
 
 from .gf import (
-    FieldCtx, element_from_index, f_add, f_mul, f_pow, field_from_json, field_to_json,
-    lane_mod, lane_width, mover, pack, powers, unpack,
+    FieldCtx,
+    element_from_index,
+    f_add,
+    f_mul,
+    f_pow,
+    field_from_json,
+    field_to_json,
+    lane_mod,
+    lane_width,
+    mover,
+    pack,
+    powers,
+    unpack,
 )
 
 MAX_M = 64  # keeps the ring lanes below 2^38 (RingLanes); enough for every desk-scale group here
@@ -43,29 +53,32 @@ class RingLanes(NamedTuple):
     hold unreduced lanes: bits is the gf.lane_width of m (p - 1)(q - 1),
     q = p^n, the largest sum twisted_kex forms between reductions (times, and
     replay's m scaled halves), below 2^38 under MAX_PRIME, MAX_ORDER, MAX_M.
-    mod, the gf.lane_mod of every lane the ring forms (the n u-powers of 2w
-    halves), each up to 2^bits - 1, is their one reduction.
+    mod, the gf.lane_mod of every lane of 2w halves, each up to 2^bits - 1,
+    is their one reduction.
     """
 
-    p: int
     n: int
     m: int
     bits: int
     first: int  # lane 0 of every slot of a half
     low: int  # lanes r < n - 1 of every slot of 2w halves, w = m // 2 + 1
     top: int  # lane n - 1 of every slot of 2w halves
+    neg: int  # -modulus in lanes 0 .. n-1: u^n = sum(neg_r u^r)
     full: int  # all m * n lanes of a half
     rotate: Callable  # rotate(y, i) = x^i * y: slot k moves to slot k + i mod m
-    mod: Callable  # mod(x) = x with every lane reduced mod p
-    neg: int  # -modulus in lanes 0 .. n-1: u^n = sum(neg_r u^r)
+    mod: Callable  # mod(x): x, up to 2w halves, with every lane reduced mod p
 
     def reduce(self, x: int, count: int) -> int:
-        """x with its count lanes reduced mod p."""
-        return self.mod(x)
+        """x with its count lanes, up to n times 2w halves, reduced mod p by a mod per 2w halves."""
+        span = 2 * (self.m // 2 + 1) * self.full.bit_length()
+        if count * self.bits <= span:
+            return self.mod(x)
+        mask = (1 << span) - 1
+        return sum([self.mod(x >> k & mask) << k for k in range(0, count * self.bits, span)])
 
     def values(self, x: int, count: int) -> Sequence[int]:
         """The count lanes of x reduced mod p, as gf.unpack reads reduce(x, count)."""
-        return unpack(self.mod(x), count, self.bits)
+        return unpack(self.reduce(x, count), count, self.bits)
 
     def reduce_halves(self, rot: int, refl: int) -> Tuple[int, int]:
         """rot and refl, two halves, with their lanes reduced mod p by one mod."""
@@ -104,18 +117,18 @@ class RingLanes(NamedTuple):
         return (acc & self.full) + (acc >> self.m * self.n * bits)
 
 
-# rings of a shape differ only in neg, so each transcript's fresh field reuses the masks
-@lru_cache(maxsize=32)
-def _layout(p: int, n: int, m: int) -> RingLanes:
-    """The lanes of the ring over F_{p^n} with dihedral m, neg left 0 for make_ring_ctx."""
-    bits = lane_width(m * (p - 1) * (p**n - 1))
+def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
+    """The lane layout of the halves of the ring over fld with dihedral m."""
+    p, n = fld.p, fld.n
+    bits = lane_width(m * (p - 1) * (fld.order - 1))
     ones, zeros, slots = b"\xff" * (bits // 8), bytes(bits // 8), 2 * (m // 2 + 1) * m
     first = int.from_bytes((ones + zeros * (n - 1)) * m, "little")
     low = int.from_bytes((ones * (n - 1) + zeros) * slots, "little")
     top = int.from_bytes((zeros * (n - 1) + ones) * slots, "little")
+    neg = pack([-c % p for c in fld.modulus[:n]], bits)
     full = (1 << m * n * bits) - 1
-    mod = lane_mod(p, (1 << bits) - 1, bits, slots * n * n)
-    return RingLanes(p, n, m, bits, first, low, top, full, mover(m, 1, n * bits), mod, 0)
+    mod = lane_mod(p, (1 << bits) - 1, bits, slots * n)
+    return RingLanes(n, m, bits, first, low, top, neg, full, mover(m, 1, n * bits), mod)
 
 
 @dataclass(frozen=True)
@@ -139,9 +152,7 @@ def make_ring_ctx(fld: FieldCtx, m: int) -> RingCtx:
     units = fld.order - 1
     d = math.gcd(m, units)
     tau = f_pow(fld, fld.t, units // d)
-    lanes = _layout(fld.p, fld.n, m)
-    neg = pack([-c % fld.p for c in fld.modulus[: fld.n]], lanes.bits)
-    return RingCtx(fld, m, tuple(powers(fld, tau, m)), RingLanes(*lanes[:-1], neg))
+    return RingCtx(fld, m, tuple(powers(fld, tau, m)), _ring_lanes(fld, m))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Twisted dihedral group rings: group law, cocycle, product, adjoint, bases."""
 
 import itertools
+import tracemalloc
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoside import gf
 from twoside.gf import element_from_index, f_mul, f_pow, pack, unpack
 from twoside.twisted_ring import (
     RingElement,
@@ -225,6 +227,22 @@ def test_reduce_matches_lanewise_mod(data):
     reduced = lanes.reduce(pack(values, lanes.bits), len(values))
     assert reduced >> len(values) * lanes.bits == 0
     assert list(unpack(reduced, len(values), lanes.bits)) == [v % p for v in values]
+
+
+def test_ring_masks_span_2w_halves_at_the_widest_ring():
+    # RingLanes.mod's masks cover 2w halves, as low and top do, not the n
+    # u-powers of them that reduce can take: at (3, 8, 64) the whole layout,
+    # its reducer built afresh, holds under 10 times low (2 per Barrett pass,
+    # at most 3, plus low and top); masks over n * 2w halves held 36 times
+    fld = make_test_field(3, 8)
+    gf.lane_mod.cache_clear()
+    tracemalloc.start()
+    try:
+        lanes = make_ring_ctx(fld, 64).lanes
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 10 * (lanes.low.bit_length() // 8)
 
 
 def test_ring_associativity_and_distributivity():
