@@ -1,11 +1,11 @@
 """Alternating before/after runs of the benchmark on two checkouts.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...]
-           [--seconds T] [--seed 2] [--out BENCH.json]
+           [--seed 2] [--out BENCH.json]
 
 Runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` in each
-checkout, 10 pairs of runs per workload, T by default the change's
-BENCHMARK.json `run_seconds`: the parent first in odd pairs (1, 3, ..),
+checkout, 10 pairs of runs per workload, T the change's BENCHMARK.json
+`run_seconds`: the parent first in odd pairs (1, 3, ..),
 the change first in even ones, so a drift of the host weighs on both sides
 alike.  For every end-to-end metric of BENCHMARK.json it reports, per
 workload, each side's median and quartiles and how many pairs the change
@@ -71,7 +71,6 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--seed", type=int, default=2)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
@@ -84,9 +83,7 @@ def main(argv=None) -> int:
                   " lowers setup_s and peak_rss_mb", file=sys.stderr)
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    if seconds <= 0:
-        ap.error("--seconds must be positive")
+    seconds = spec["run_seconds"]
     report = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
