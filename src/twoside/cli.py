@@ -1,8 +1,8 @@
 """Command-line front end: run exchanges, attack transcripts, benchmark.
 
-Exit codes: 0 success, 2 usage or validation error, 3 recovered key does not
-match the reference (selftest: a check failed), 4 the attack's linear solve
-found no solution.
+Exit codes: 0 success, 2 usage or validation error (or stdout closed before
+the output was written), 3 recovered key does not match the reference
+(selftest: a check failed), 4 the attack's linear solve found no solution.
 
 The subcommands that draw randomness (exchange, bench, selftest) take --seed
 and echo the seed they used, so any run replays exactly.  Benchmark rows are
@@ -18,6 +18,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -379,7 +380,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away: drop the rest (signal docs, Note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ the rest is written here once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from random import Random
 from typing import Any, Callable, NamedTuple
@@ -19,6 +19,8 @@ class KeyPair:
     left: Any  # None when the secrets are unknown
     right: Any
     pk: Any
+    # what keygen formed from the secrets for shared_key to reuse; not data
+    multipliers: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -487,11 +487,12 @@ def lane_width(bound: int) -> int:
 
 
 # a shape's field kernel, ring and odd-p solve reduce the same lanes each time:
-# build them once; 16 layouts hold the 13 of a round robin over five shapes
+# build them once; 16 layouts hold the 13 of a round robin over the five
+# shapes of twisted-grid (5 field kernels, 5 rings and 3 odd-p solves)
 @lru_cache(maxsize=16)
 def lane_mod(p: int, bound: int, bits: int, count: int) -> Callable[[int], int]:
     """mod(x): x with each of its count lanes, bits wide (a multiple of 8) and
-    at most bound (p <= bound < 2^bits), replaced by that lane mod p: the one
+    at most bound (below 2^bits), replaced by that lane mod p: the one
     reduction of packed F_p lanes.  At p = 2 one AND with bit 0 of every lane.
 
     At odd p Barrett's method (CRYPTO '86): with M = ceil(2^s / p) and

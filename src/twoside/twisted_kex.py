@@ -113,9 +113,13 @@ def keypair_from_secrets(
 ) -> KeyPair:
     """left * h * right, by two ring multiplies on packed lanes.
 
-    left must lie in R1 and right in A2 (ValueError otherwise).
+    left must lie in R1 and right in A2 (ValueError otherwise).  The pair
+    keeps the checked multipliers for shared_key.
     """
-    return KeyPair(left, right, _sandwich(params.h, *_secret_multipliers(left, right, params.h)))
+    multipliers = _secret_multipliers(left, right, params.h)
+    pair = KeyPair(left, right, _sandwich(params.h, *multipliers))
+    object.__setattr__(pair, "multipliers", multipliers)
+    return pair
 
 
 def keygen(params: TwistedParams, rng: Random) -> KeyPair:
@@ -129,10 +133,13 @@ def shared_key(own: KeyPair, other_pk: RingElement) -> RingElement:
 
     own.left * other_pk * own.right.adjoint(), by two ring multiplies on
     packed lanes: the adjoint swaps the two multipliers of own.right.
-    The secrets must lie in R1 and A2 (ValueError otherwise).
+    The secrets must lie in R1 and A2, and in other_pk's ring (ValueError
+    otherwise); a pair from keypair_from_secrets has its multipliers.
     """
-    refl_mult, rot_mult = _secret_multipliers(own.left, own.right, other_pk)
-    return _sandwich(other_pk, rot_mult, refl_mult)
+    mults = own.multipliers
+    if mults is None or own.left.ctx != other_pk.ctx:  # the check raises on a mismatch
+        mults = _secret_multipliers(own.left, own.right, other_pk)
+    return _sandwich(other_pk, *mults[::-1])
 
 
 def run_exchange(params: TwistedParams, rng: Random) -> Transcript:

@@ -53,8 +53,8 @@ class RingLanes(NamedTuple):
     hold unreduced lanes: bits is the gf.lane_width of m (p - 1)(q - 1),
     q = p^n, the largest sum twisted_kex forms between reductions (times, and
     replay's m scaled halves), below 2^38 under MAX_PRIME, MAX_ORDER, MAX_M.
-    mod, the gf.lane_mod of every lane of 2w halves, each up to 2^bits - 1,
-    is their one reduction.
+    mod, the gf.lane_mod of every lane of 2w halves, each up to that bound
+    m (p - 1)(q - 1), is their one reduction.
     """
 
     n: int
@@ -127,7 +127,7 @@ def _ring_lanes(fld: FieldCtx, m: int) -> RingLanes:
     top = int.from_bytes((zeros * (n - 1) + ones) * slots, "little")
     neg = pack([-c % p for c in fld.modulus[:n]], bits)
     full = (1 << m * n * bits) - 1
-    mod = lane_mod(p, (1 << bits) - 1, bits, slots * n)
+    mod = lane_mod(p, m * (p - 1) * (fld.order - 1), bits, slots * n)
     return RingLanes(n, m, bits, first, low, top, neg, full, mover(m, 1, n * bits), mod)
 
 
@@ -299,33 +299,36 @@ def basis_a2(ctx: RingCtx) -> Tuple[RingElement, ...]:
     return _orbit_basis(ctx, 1, _symmetric_orbits(ctx.m))
 
 
-def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbits: list) -> RingElement:
+def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbit_of) -> RingElement:
     """sum over a < n and the orbits of c * t^a * (sum of x^e y^k, e in orbit).
 
-    One rng.randrange(p) per (a, orbit), a outer: the order of the basis
-    elements in _orbit_basis, so each orbit's F_{p^n} coefficient
-    sum_a c_a t^a is accumulated on ints without the basis.
+    orbit_of[e] numbers e's orbit as _orbit_basis orders the orbits, and one
+    rng.randrange(p) per (a, orbit), a outer, follows its basis order.  The
+    draws are packed once, lane a of slot e holding e's draw for t^a: at
+    n = 1 the half.  At n > 1 slot e's coefficient sum_a c_a t^a sums lane a,
+    moved to lane 0, times t^a packed on n lanes, for each a: lanes up to
+    n (p - 1)^2 <= m (p - 1)(q - 1), reduced by one lanes.mod.
     """
-    fld = ctx.field
-    p = fld.p
-    sums = [[0] * fld.n for _ in orbits]
-    for tp in powers(fld, fld.t, fld.n):
-        for acc in sums:
-            c = rng.randrange(p)
-            if c:
-                for r, v in enumerate(tp):
-                    acc[r] += c * v
-    return _on_orbits(ctx, k, orbits, [tuple(v % p for v in acc) for acc in sums])
+    fld, lanes = ctx.field, ctx.lanes
+    n, size, bits = fld.n, max(orbit_of) + 1, lanes.bits
+    draws = [rng.randrange(fld.p) for _ in range(n * size)]
+    y = pack([draws[a * size + o] for o in orbit_of for a in range(n)], bits)
+    if n > 1:
+        y = lanes.mod(sum([
+            ((y >> a * bits) & lanes.first) * pack(tp, bits)
+            for a, tp in enumerate(powers(fld, fld.t, n))
+        ]))
+    return RingElement(ctx, 0, y) if k else RingElement(ctx, y, 0)
 
 
 def sample_r1(ctx: RingCtx, rng: Random) -> RingElement:
     """Uniform element of the rotation subring, drawn as over basis_r1."""
-    return _sample_orbits(ctx, rng, 0, _rotation_orbits(ctx.m))
+    return _sample_orbits(ctx, rng, 0, range(ctx.m))
 
 
 def sample_a2(ctx: RingCtx, rng: Random) -> RingElement:
     """Uniform element of the symmetric reflection subspace, drawn as over basis_a2."""
-    return _sample_orbits(ctx, rng, 1, _symmetric_orbits(ctx.m))
+    return _sample_orbits(ctx, rng, 1, [min(e, ctx.m - e) for e in range(ctx.m)])
 
 
 def sample_element(ctx: RingCtx, rng: Random, full_support: bool = True) -> RingElement:

@@ -727,6 +727,31 @@ def test_usage_error_on_unknown_command(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
+@pytest.mark.parametrize("command", ["exchange", "attack", "selftest", "bench"])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, command):
+    # stdout a pipe whose reader is gone before the command writes a byte
+    transcript = tmp_path / "t.json"
+    shape = ["--scheme", "twisted", "--p", "3", "--fext", "2", "--m", "4", "--seed", "1"]
+    assert run_cli("exchange", *shape, "--out", str(transcript), cwd=tmp_path).returncode == 0
+    args = {
+        "exchange": ["exchange", *shape, "--out", str(tmp_path / "again.json")],
+        "attack": ["attack", str(transcript)],
+        "selftest": ["selftest", "--seed", "1"],
+        "bench": ["bench", *shape, "--trials", "1", "--out", str(tmp_path / "b.csv")],
+    }[command]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "twoside", *args], stdout=write, stderr=subprocess.PIPE,
+            text=True, cwd=tmp_path, env=child_env(), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in res.stderr, res.stderr
+    assert res.returncode == 2
+
+
 # -- public-only transcripts, output paths and the entry-bound cap ----------------
 
 

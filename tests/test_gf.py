@@ -289,7 +289,7 @@ def test_lanewise_reduction_is_mod_p_up_to_the_bound(p, n):
 def lane_mod_layouts(draw):
     """(p, bound, bits, count) of a gf.lane_mod as one of its three callers
     builds it: the field kernel (n lanes up to its fold bound), the ring
-    lanes (up to 2w m n n lanes up to 2^bits - 1, w = m//2 + 1) and the
+    lanes (up to 2w m n n lanes up to m (p - 1)(q - 1), w = m//2 + 1) and the
     odd-p solve (c + 1 lanes up to lane_bits' bound, 2mn rows at most)."""
     p = draw(st.sampled_from((2, 3, 5, 7, 31, 257, 1021, 65521)), label="p")
     n = draw(st.integers(1, max(n for n in range(1, gf.MAX_DEGREE + 1) if p**n <= gf.MAX_ORDER)))
@@ -298,8 +298,8 @@ def lane_mod_layouts(draw):
     if caller == "kernel":
         return p, n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1)), gf._Kronecker(p, (0,) * n + (1,)).bits, n
     if caller == "ring":
-        bits = gf.lane_width(m * (p - 1) * (p**n - 1))
-        return p, (1 << bits) - 1, bits, draw(st.integers(1, 2 * (m // 2 + 1) * m * n * n))
+        bound = m * (p - 1) * (p**n - 1)
+        return p, bound, gf.lane_width(bound), draw(st.integers(1, 2 * (m // 2 + 1) * m * n * n))
     rows = draw(st.integers(1, 2 * m * n))
     count = draw(st.integers(1, m * n * (m // 2 + 1) + 1))
     return p, p + rows * (p - 1) ** 2, gf.lane_bits(p, rows), count

@@ -1,5 +1,6 @@
 """Twisted group-ring key exchange, honest runs and the linear-algebra attack."""
 
+import dataclasses
 import tracemalloc
 from random import Random
 
@@ -529,6 +530,34 @@ def test_exchange_rejects_secrets_outside_their_key_spaces():
         shared_key(pair, ring_one(other_ctx))
     with pytest.raises(ValueError, match="ring context mismatch"):
         keypair_from_secrets(params, ring_one(other_ctx), reflection)
+
+
+def test_each_party_forms_its_multipliers_once(monkeypatch):
+    # keygen keeps the checked multipliers on the pair and shared_key reuses
+    # them; a pair without them (hand-built, replaced or parsed) forms them
+    # again, with every key-space and ring check
+    params = fixed_params(3, 2, 4)
+    calls = []
+    formed = twisted_kex._secret_multipliers
+
+    def counted(*args):
+        calls.append(args)
+        return formed(*args)
+
+    monkeypatch.setattr(twisted_kex, "_secret_multipliers", counted)
+    tr = run_exchange(params, Random(5))
+    assert len(calls) == 2 and tr.keys_agree
+    pair = keygen(params, Random(6))
+    other_ctx = make_ring_ctx(make_test_field(3, 2), 5)
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        shared_key(pair, ring_one(other_ctx))
+    outside = dataclasses.replace(pair, right=pair.right + single(params.ctx, 1, 0))
+    assert outside.multipliers is None
+    with pytest.raises(ValueError, match="A2"):
+        shared_key(outside, params.h)
+    back = transcript_from_json(transcript_to_json(tr, include_secrets=True)).alice
+    assert back == tr.alice and repr(back) == repr(tr.alice) and back.multipliers is None
+    assert shared_key(back, tr.bob.pk) == tr.shared_key
 
 
 def assert_attack_system_is_dense(params, target):

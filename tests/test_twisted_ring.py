@@ -214,16 +214,18 @@ def test_times_at_the_lane_bound(p, n):
 @given(st.data())
 def test_reduce_matches_lanewise_mod(data):
     # the one reduction of ring lanes, a mask at p = 2, against % p lane by
-    # lane, on lanes up to 2^bits - 1 and as many as the attack's build reads
+    # lane, on lanes up to its bound m (p - 1)(q - 1), the bound itself among
+    # them, and as many as the attack's build reads
     p = data.draw(st.sampled_from([2, 3, 5, 257, 65521]), label="p")
     n = data.draw(st.integers(1, {257: 2, 65521: 1}.get(p, 4)), label="n")
     m = data.draw(st.sampled_from([1, 2, 3, 6, 8]), label="m")
     lanes = ring(p, n, m).lanes
-    top = (1 << lanes.bits) - 1
+    top = m * (p - 1) * (p**n - 1)
     values = data.draw(st.lists(
-        st.one_of(st.integers(0, top), st.sampled_from([top, m * (p - 1) * (p**n - 1)])),
+        st.one_of(st.integers(0, top), st.just(top)),
         min_size=1, max_size=n * (m // 2 + 1) * 2 * m * n,
     ), label="lanes")
+    values[data.draw(st.integers(0, len(values) - 1), label="at")] = top
     reduced = lanes.reduce(pack(values, lanes.bits), len(values))
     assert reduced >> len(values) * lanes.bits == 0
     assert list(unpack(reduced, len(values), lanes.bits)) == [v % p for v in values]
@@ -389,13 +391,14 @@ def test_sampler_supports():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([2, 3, 5, 7]),
-    st.integers(1, 3),
-    st.integers(1, 8),
-    st.integers(0, 2**32),
-)
-def test_samplers_match_the_basis_span(p, n, m, seed):
+@given(st.data())
+def test_samplers_match_the_basis_span(data):
+    # the packed draws and, at n > 1, their t-power sums at lanes up to
+    # n (p - 1)^2, up to the widest p of each n and m = 64
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 257, 65521]), label="p")
+    n = data.draw(st.integers(1, {257: 2, 65521: 1}.get(p, 4)), label="n")
+    m = data.draw(st.one_of(st.integers(1, 16), st.just(64)), label="m")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
     ctx = ring(p, n, m)
     for sampler, basis in ((sample_r1, basis_r1), (sample_a2, basis_a2)):
         rng, oracle_rng = Random(seed), Random(seed)
