@@ -19,7 +19,8 @@ class KeyPair:
     left: Any  # None when the secrets are unknown
     right: Any
     pk: Any
-    # what keygen formed from the secrets for shared_key to reuse; not data
+    # what the scheme's keygen formed from the secrets, for its shared_key;
+    # outside init, equality and repr, so replace and parsing drop it
     multipliers: Any = field(default=None, init=False, compare=False, repr=False)
 
 

@@ -268,13 +268,12 @@ def _symmetric_orbits(m: int) -> list:
     return [orbit(m, j) for j in range(m // 2 + 1)]
 
 
-def _on_orbits(ctx: RingCtx, k: int, orbits: list, values) -> RingElement:
-    """The element with coefficient values[o], reduced, at x^e y^k for each e in orbits[o]."""
+def _on_orbit(ctx: RingCtx, k: int, exps, c) -> RingElement:
+    """The element with coefficient c, reduced, at x^e y^k for each e in exps."""
     n = ctx.field.n
     flat = [0] * (ctx.m * n)  # half k
-    for exps, c in zip(orbits, values):
-        for e in exps:
-            flat[e * n : e * n + n] = c
+    for e in exps:
+        flat[e * n : e * n + n] = c
     half = pack(flat, ctx.lanes.bits)
     return RingElement(ctx, 0, half) if k else RingElement(ctx, half, 0)
 
@@ -283,7 +282,7 @@ def _orbit_basis(ctx: RingCtx, k: int, orbits: list) -> Tuple[RingElement, ...]:
     """t^a * (sum of x^e y^k, e in orbit) for a < n (outer) and each orbit."""
     fld = ctx.field
     return tuple(
-        _on_orbits(ctx, k, [exps], [tp])
+        _on_orbit(ctx, k, exps, tp)
         for tp in powers(fld, fld.t, fld.n)
         for exps in orbits
     )
