@@ -89,10 +89,16 @@ def value_to_json(v):
 
 
 def value_from_json(obj):
-    if isinstance(obj, str):
-        if obj == "inf":
-            return INF
-        raise ValueError(f"not a semiring value: {obj!r}")
-    if isinstance(obj, int) and not isinstance(obj, bool) and 0 <= obj <= MAX_FINITE:
+    if obj == "inf":
+        return INF
+    if type(obj) is int and 0 <= obj <= MAX_FINITE:
         return obj
     raise ValueError(f"not a semiring value: {obj!r}")
+
+
+def values_from_json(flat: list) -> list:
+    """[value_from_json(v) for v in flat], in one type and range check when
+    all are plain ints, else entry by entry: the error names the first bad one."""
+    if set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) <= MAX_FINITE:
+        return flat
+    return [value_from_json(v) for v in flat]

@@ -15,6 +15,7 @@ secrets needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Tuple
 
@@ -23,7 +24,7 @@ from .digital import (
     MAX_FINITE,
     W,
     order_key,
-    value_from_json,
+    values_from_json,
     value_to_json,
 )
 from . import exchange
@@ -127,8 +128,8 @@ def run_exchange(params: DigitalParams, rng: Random) -> Transcript:
 # and m - (m >> 15) widens those guard bits to a value mask (after Lamport,
 # "Multiple byte processing with full-word instructions", CACM 1975).  Every
 # shifted copy of a matrix (gf.mover), and every compare, min and max over
-# all n^2 entries, is then a few int operations.  solve works on one bit per
-# entry instead: a set of copies is one n^2-bit int, moved the same way.
+# all n^2 entries, is then a few int operations.  solve's masks hold one bit
+# per entry, four copies of each on a doubled grid: a rotation is one shift.
 
 def _lane_constants(n: int) -> Tuple[int, int]:
     """ONES (1 in each of the n*n lanes) and GUARD (bit 15 of each lane)."""
@@ -166,7 +167,7 @@ def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
     columns are read from M by that index shift, with no semiring
     arithmetic, and equal flatten_two_sided(params.matrix, gens, gens)[0].
     pairs holds the (i, j) of each column.  The attack itself builds no
-    columns: solve and replay move packed lanes instead.
+    columns: solve shifts bit masks and replay moves packed lanes instead.
     """
     n = params.n
     flat = params.matrix.flat()
@@ -217,6 +218,18 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
     return _matrix(acc, values, n)
 
 
+@lru_cache(maxsize=MAX_N)
+def _grid(n: int) -> tuple:
+    """solve's grid: the window bit i * 2n + j of copy (i, j) and the shift
+    (-r % n) * 2n + c of position (r, c), row-major; M[r][c] = M'[-r][c] at
+    its shift plus 0, n, 2n^2 and 2n^2 + n; and the window's mask."""
+    w = 2 * n
+    window = ((1 << n) - 1) * (((1 << w * n) - 1) // ((1 << w) - 1))
+    return (tuple(a * w + b for a in range(n) for b in range(n)),
+            tuple(-r % n * w + c for r in range(n) for c in range(n)),
+            (1 | 1 << n) * (1 | 1 << n * w), window)
+
+
 def solve(params: DigitalParams, target_pk: SemiringMatrix):
     """The maximal solution of the attack system for target_pk, or None.
 
@@ -229,37 +242,34 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
     Both steps sweep the target's positions in rank order, on masks that
     hold one bit per copy (i, j).  With M'[a][b] = M[-a][b], H_(i,j)[(r, c)]
     is M'[i - r][j + c], so the copies that H_k[l] > y_l singles out at
-    l = (r, c) are the mask "M' > y_l" moved by (r, c).  In ascending y_l,
-    each copy takes the first y_l whose mask holds it.  Then each
-    min(z_k, H_k[l]) is at most y_l, so the candidate hits Y iff every lane
-    l has some k with H_k[l] >= y_l and z_k >= y_l; in descending y_l that
-    is the moved "M' >= y_l" meeting the mask of copies with z_k >= y_l.
-    Raises ValueError when target_pk is not n x n.
+    l = (r, c) are the mask "M' > y_l" moved by (r, c): one right shift of a
+    2n x 2n grid with M'[a][b] at (a + sn) * 2n + b + tn, s, t in {0, 1}
+    (see _grid).  In ascending y_l, each copy takes the first y_l whose mask
+    holds it.  Then each min(z_k, H_k[l]) is at most y_l, so the candidate
+    hits Y iff every lane l has some k with H_k[l] >= y_l and z_k >= y_l; in
+    descending y_l that is the moved "M' >= y_l" meeting the mask of copies
+    with z_k >= y_l.  Raises ValueError when target_pk is not n x n.
     """
     n = params.n
     _require_size(n, target_pk.n, "matrix")
-    size = n * n
-    target = target_pk.flat()
-    matrix = params.matrix.flat()
+    size, target, matrix = n * n, target_pk.flat(), params.matrix.flat()
     values, rank = _chain(target, matrix)
-    ys = [rank[v] for v in target]
-    ms = [rank[matrix[-a % n * n + b]] for a in range(n) for b in range(n)]  # M'
+    ys, ms = [rank[v] for v in target], [rank[v] for v in matrix]
     by_y = sorted(range(size), key=ys.__getitem__)
     by_m = sorted(range(size), key=ms.__getitem__)
-    move = mover(n, n, 1)
+    strided, shifts, quad, free = _grid(n)
 
-    gt = free = (1 << size) - 1  # "M' > y" and the copies with no z yet
+    gt = (1 << 4 * size) - 1  # "M' > y"; free: the copies with no z yet
     steps = []  # (y, the copies whose z is y), y ascending
     p = 0
     for l in by_y:
         y = ys[l]
         while p < size and ms[by_m[p]] <= y:
-            gt ^= 1 << by_m[p]
+            gt ^= quad << shifts[by_m[p]]
             p += 1
         if not gt:
             break
-        r, c = divmod(l, n)
-        hit = move(gt, r, c) & free
+        hit = gt >> shifts[l] & free
         if hit:
             steps.append((y, hit))
             free ^= hit
@@ -272,22 +282,21 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
         y = ys[l]
         while p and ms[by_m[p - 1]] >= y:
             p -= 1
-            ge |= 1 << by_m[p]
+            ge |= quad << shifts[by_m[p]]
         while q and steps[q - 1][0] >= y:
             q -= 1
             zge |= steps[q][1]
-        r, c = divmod(l, n)
-        if not move(ge, r, c) & zge:
+        if not ge >> shifts[l] & zge:
             return None
 
-    zs = [values[-1]] * size
+    zs = [values[-1]] * (2 * size)  # z of copy (i, j) at its window bit
     for y, hit in steps:
         v = values[y]
         while hit:
-            low = hit & -hit
-            zs[low.bit_length() - 1] = v
-            hit ^= low
-    return tuple(zs)
+            b = hit.bit_length() - 1
+            zs[b] = v
+            hit ^= 1 << b
+    return tuple(map(zs.__getitem__, strided))
 
 
 def replay(
@@ -371,18 +380,18 @@ def params_from_json(obj: dict) -> DigitalParams:
     bound = obj.get("entry_bound", DEFAULT_ENTRY_BOUND)
     if type(n) is not int or type(bound) is not int:
         raise ValueError("n and entry_bound must be ints")
-    matrix = matrix_from_json(obj["matrix"], W, value_from_json)
+    matrix = matrix_from_json(obj["matrix"], W, values_from_json)
     return DigitalParams(n, matrix, bound)
 
 
 def _matrix_from_json(params: DigitalParams, obj: dict) -> SemiringMatrix:
-    mat = matrix_from_json(obj, W, value_from_json)
+    mat = matrix_from_json(obj, W, values_from_json)
     _require_size(params.n, mat.n, "matrix")
     return mat
 
 
 def _circulant_from_json(params: DigitalParams, obj: dict) -> Circulant:
-    circ = circulant_from_json(obj, W, value_from_json)
+    circ = circulant_from_json(obj, W, values_from_json)
     _require_size(params.n, circ.n, "circulant")
     return circ
 

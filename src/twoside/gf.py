@@ -568,7 +568,7 @@ def mover(rows: int, cols: int, bits: int):
     """move(x, r, c=0): the rows x cols grid x, entry (i, j) in lane
     i * cols + j of `bits` bits, with entry (i, j) taken from x[i - r][j + c],
     both indices wrapping around: every row rotated left by c, then the grid
-    rotated down by r rows.  The one lane rotation of both schemes.
+    rotated down by r rows.  The digital solve shifts a doubled grid instead.
     """
     row = bits * cols
     size = row * rows

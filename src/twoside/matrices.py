@@ -140,7 +140,8 @@ def matrix_from_json(obj: dict, sr: Semiring, decode) -> SemiringMatrix:
     rows = obj["rows"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix JSON shape does not match its declared size")
-    return SemiringMatrix(sr, tuple(tuple(decode(v) for v in row) for row in rows))
+    flat = decode([v for row in rows for v in row])
+    return SemiringMatrix(sr, [flat[r * n : (r + 1) * n] for r in range(n)])
 
 
 def circulant_to_json(circ: Circulant, encode) -> dict:
@@ -154,4 +155,4 @@ def circulant_from_json(obj: dict, sr: Semiring, decode) -> Circulant:
     col = obj["c"]
     if len(col) != n:
         raise ValueError("circulant JSON shape does not match its declared size")
-    return Circulant(sr, tuple(decode(v) for v in col))
+    return Circulant(sr, decode(col))

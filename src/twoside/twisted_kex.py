@@ -344,10 +344,14 @@ def replay(params: TwistedParams, solution, other_pk: RingElement) -> RingElemen
     with no f_mul.  The orbits of j < w partition the exponents: m of each.
     """
     _check_ring(params, other_pk)
-    ctx = params.ctx
-    lanes, pows = ctx.lanes, ctx.twist_pows
-    p, n, m, w = ctx.field.p, ctx.field.n, ctx.m, ctx.m // 2 + 1
-    _check_solution(solution, m * n * w, p, "one per unknown of system_rows")
+    m, fld = params.ctx.m, params.ctx.field
+    _check_solution(solution, m * fld.n * (m // 2 + 1), fld.p, "one per unknown of system_rows")
+    return _replay(params.ctx, solution, other_pk)
+
+
+def _replay(ctx: RingCtx, solution, other_pk: RingElement) -> RingElement:
+    """replay without its checks, for solve's own vector."""
+    lanes, pows, n, m, w = ctx.lanes, ctx.twist_pows, ctx.field.n, ctx.m, ctx.m // 2 + 1
     rot_mult = refl_mult = 0
     for j in range(w):
         flat = solution[j::w]
@@ -367,7 +371,7 @@ def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement)
         raise AttackError(
             "public element is outside the span of the basis products"
         )
-    return replay(params, solution, other_pk)
+    return _replay(params.ctx, solution, other_pk)
 
 
 # -- serialization ------------------------------------------------------------

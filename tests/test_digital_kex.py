@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoside import digital_kex, gf
-from twoside.digital import INF, MAX_FINITE, W, value_to_json, w_leq, w_max_component
+from twoside import digital, digital_kex, gf
+from twoside.digital import (
+    INF,
+    MAX_FINITE,
+    W,
+    value_from_json,
+    value_to_json,
+    values_from_json,
+    w_leq,
+    w_max_component,
+)
 from twoside.digital_kex import (
     MAX_N,
     DigitalParams,
@@ -25,19 +34,23 @@ from twoside.digital_kex import (
     replay,
     run_exchange,
     sample_circulant,
+    sample_matrix,
     shared_key,
     solve,
     transcript_from_json,
     transcript_to_json,
 )
 from twoside.errors import AttackError
+from twoside.exchange import Transcript
 from twoside.solver import LinearSystem, maximal_solution
 from twoside.matrices import (
     Circulant,
     SemiringMatrix,
     circulant_generators,
     flatten_two_sided,
+    circulant_from_json,
     circulant_to_json,
+    matrix_from_json,
     matrix_to_json,
 )
 
@@ -444,6 +457,26 @@ def test_solve_on_all_distinct_values_matches_maximal_solution(n, honest):
     assert (expected is not None) == honest
 
 
+def test_solve_hits_honest_targets_at_every_n_without_moving_lanes(monkeypatch):
+    # the doubled grid's window shifts at every size, odd n and the cap
+    # included; solve shifts its bit grid and never calls gf.mover
+    rng = Random(52)
+    cases = []
+    for n in range(1, MAX_N + 1):
+        params = random_params(n, rng)
+        cases.append((params, run_exchange(params, rng).alice.pk))
+
+    def no_mover(*shape):
+        raise AssertionError(f"solve called mover{shape}")
+
+    monkeypatch.setattr(digital_kex, "mover", no_mover)
+    solutions = [solve(params, target) for params, target in cases]
+    monkeypatch.undo()
+    for (params, target), zs in zip(cases, solutions):
+        n = params.n
+        assert w_dot(zs, attack_columns(params)[0], n * n) == target.flat(), n
+
+
 def test_attack_rejects_unreachable_public_matrix():
     rng = Random(15)
     params = random_params(3, rng)
@@ -550,3 +583,64 @@ def test_transcript_from_json_rejects_entries_of_wrong_size(path):
     parent[path[-1]] = wrong
     with pytest.raises(ValueError, match="not 3 x 3"):
         transcript_from_json(obj)
+
+
+def json_entries(data):
+    """Flat JSON entries for W's decoders: all valid ints (the one-pass
+    path), valid ints and "inf", or a mix with what value_from_json rejects."""
+    valid = st.one_of(st.integers(0, MAX_FINITE), st.just(MAX_FINITE), st.just(0))
+    bad = st.sampled_from([MAX_FINITE + 1, -1, True, False, 1.0, "INF", None, [], [1], [[0]]])
+    kind = data.draw(st.sampled_from(["int", "inf", "mixed"]), label="kind")
+    if kind == "inf":
+        valid = st.one_of(valid, st.just("inf"))
+    return valid if kind != "mixed" else st.one_of(valid, bad)
+
+
+def outcome(read):
+    """What read() returns, or the text of the ValueError it raises."""
+    try:
+        return read()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_decoders_match_entry_by_entry_decoding(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    entries = json_entries(data)
+    flat = data.draw(st.lists(entries, min_size=n * n, max_size=n * n), label="flat")
+    rows = [flat[r * n : (r + 1) * n] for r in range(n)]
+    col = flat[:n]
+    assert outcome(lambda: values_from_json(flat)) == outcome(
+        lambda: [value_from_json(v) for v in flat]
+    )
+    assert outcome(lambda: matrix_from_json({"n": n, "rows": rows}, W, values_from_json)) == (
+        outcome(lambda: SemiringMatrix(W, [[value_from_json(v) for v in row] for row in rows]))
+    )
+    assert outcome(lambda: circulant_from_json({"n": n, "c": col}, W, values_from_json)) == (
+        outcome(lambda: Circulant(W, [value_from_json(v) for v in col]))
+    )
+
+
+def test_transcript_with_inf_entries_decodes_entry_by_entry_and_attacks(monkeypatch):
+    rng = Random(26)
+    n, bound = 6, 1000
+    params = DigitalParams(n, sample_matrix(n, bound, rng, inf_prob=0.3), bound)
+
+    def keys():
+        circ = [sample_circulant(n, bound, rng, inf_prob=0.3) for _ in range(2)]
+        return keypair_from_circulants(params, *circ)
+
+    alice, bob = keys(), keys()
+    key = shared_key(alice, bob.pk)
+    tr = Transcript(params, alice, bob, key, key == shared_key(bob, alice.pk))
+    obj = transcript_to_json(tr, include_secrets=True)
+    assert "inf" in obj["params"]["matrix"]["rows"][0] + obj["alice_public"]["rows"][0]
+    decoded = []
+    real = digital.value_from_json
+    monkeypatch.setattr(digital, "value_from_json", lambda v: decoded.append(v) or real(v))
+    back = transcript_from_json(obj)
+    assert "inf" in decoded
+    assert back == tr and tr.keys_agree
+    assert attack(back.params, back.alice.pk, back.bob.pk) == key

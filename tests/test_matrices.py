@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoside.digital import INF, W, value_from_json, value_to_json
+from twoside.digital import INF, W, value_to_json, values_from_json
 from twoside.matrices import (
     Circulant,
     SemiringMatrix,
@@ -217,13 +217,13 @@ def test_matrix_json_round_trip():
     a = SemiringMatrix(W, [[19, INF], [0, 2]])
     obj = matrix_to_json(a, value_to_json)
     assert obj == {"n": 2, "rows": [[19, "inf"], [0, 2]]}
-    assert matrix_from_json(obj, W, value_from_json) == a
+    assert matrix_from_json(obj, W, values_from_json) == a
     with pytest.raises(ValueError):
-        matrix_from_json({"n": 2, "rows": [[1, 2]]}, W, value_from_json)
+        matrix_from_json({"n": 2, "rows": [[1, 2]]}, W, values_from_json)
 
 
 def test_circulant_json_round_trip():
     c = Circulant(W, (19, INF, 0))
     obj = circulant_to_json(c, value_to_json)
     assert obj == {"n": 3, "c": [19, "inf", 0]}
-    assert circulant_from_json(obj, W, value_from_json) == c
+    assert circulant_from_json(obj, W, values_from_json) == c

@@ -461,6 +461,24 @@ def test_replay_rejects_coefficients_that_are_not_reduced_field_elements(c):
         replay(params, c, params.h)
 
 
+@pytest.mark.parametrize("p,n,m", [(2, 2, 3), (3, 2, 4), (5, 1, 6)])
+def test_attack_replays_its_own_solution_unchecked(p, n, m, monkeypatch):
+    # solve's vector is m * n * w reduced ints by construction: attack skips
+    # _check_solution, while the public replay (the CLI's) still runs it
+    checks = []
+    real = twisted_kex._check_solution
+    monkeypatch.setattr(
+        twisted_kex, "_check_solution", lambda *args: checks.append(args) or real(*args)
+    )
+    params = fixed_params(p, n, m)
+    tr = run_exchange(params, Random(9))
+    assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
+    assert checks == []
+    solution = solve(params, system_rows(params), tr.alice.pk)
+    assert replay(params, solution, tr.bob.pk) == tr.shared_key
+    assert len(checks) == 1
+
+
 @pytest.mark.parametrize("extra", [-1, 1, 6])
 def test_recover_shared_key_rejects_solutions_of_another_length(extra):
     # (3, 2, 4) has 8 x 6 = 48 basis products: 49 values once returned a
