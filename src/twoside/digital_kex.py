@@ -66,23 +66,12 @@ class DigitalParams:
             raise ValueError("entry bound out of range")
 
 
-def sample_value(bound: int, rng: Random, inf_prob: float = 0.0):
-    if inf_prob and rng.random() < inf_prob:
-        return INF
-    return rng.randrange(bound + 1)
+def sample_circulant(n: int, bound: int, rng: Random) -> Circulant:
+    return Circulant(W, tuple(rng.randrange(bound + 1) for _ in range(n)))
 
 
-def sample_circulant(
-    n: int, bound: int, rng: Random, inf_prob: float = 0.0
-) -> Circulant:
-    col = tuple(sample_value(bound, rng, inf_prob) for _ in range(n))
-    return Circulant(W, col)
-
-
-def sample_matrix(n: int, bound: int, rng: Random, inf_prob: float = 0.0) -> SemiringMatrix:
-    rows = tuple(
-        tuple(sample_value(bound, rng, inf_prob) for _ in range(n)) for _ in range(n)
-    )
+def sample_matrix(n: int, bound: int, rng: Random) -> SemiringMatrix:
+    rows = tuple(tuple(rng.randrange(bound + 1) for _ in range(n)) for _ in range(n))
     return SemiringMatrix(W, rows)
 
 

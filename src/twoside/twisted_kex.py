@@ -39,8 +39,6 @@ from .gf import (
 from .twisted_ring import (
     RingCtx,
     RingElement,
-    basis_a2,
-    basis_r1,
     element_from_coeffs,
     element_to_coeffs,
     flatten,
@@ -70,18 +68,16 @@ class TwistedParams:
             raise ValueError("public element must live in the stated ring")
 
 
-def random_params(
-    p: int, n: int, m: int, rng: Random, full_support: bool = True
-) -> TwistedParams:
+def random_params(p: int, n: int, m: int, rng: Random) -> TwistedParams:
     """Fresh ring of the given shape plus a random public element."""
     fld = make_field_ctx(p, n, rng)
     ctx = make_ring_ctx(fld, m)
-    h = sample_element(ctx, rng, full_support=full_support)
+    h = sample_element(ctx, rng)
     return TwistedParams(ctx, h)
 
 
 def _secret_multipliers(left: RingElement, right: RingElement, other: RingElement):
-    """The multipliers (g K', g K) of left * elem * right, as _sandwich takes them.
+    """The reduced multipliers (g K', g K) of left * elem * right, for _sandwich.
 
     g is the rotation half of left in R1, K = sum s_e x^e the reflection half
     of right = sum s_e x^e y in A2, and K' = sum s_e tau^e x^{-e}, which is
@@ -105,7 +101,7 @@ def _secret_multipliers(left: RingElement, right: RingElement, other: RingElemen
         raise ValueError("right secret differs at x^e y and x^-e y (outside A2)")
     adj = [f_mul(fld, s, pows[-e]) if any(s) else s for e, s in enumerate(refl)]
     k_adj, g = pack(list(chain.from_iterable(adj)), lanes.bits), lanes.u_powers(left.rot)
-    return lanes.times(k_adj, g), lanes.times(right.refl, g)
+    return lanes.reduce_halves(lanes.times(k_adj, g), lanes.times(right.refl, g))
 
 
 def keypair_from_secrets(
@@ -156,12 +152,11 @@ def _sandwich(elem: RingElement, rot_mult: int, refl_mult: int) -> RingElement:
     with K = sum s_e x^e and K' = sum s_e tau^e x^{-e}: (c x^j) (s x^e y) =
     c s x^{j+e} y and (c x^j y) (s x^e y) = c s tau^e x^{j-e}, and g adds no
     twist and commutes with R1.  So a sum of such products is elem's halves
-    times P = sum g K' and Q = sum g K.  P and Q come as packed halves, lanes
-    at most m (p - 1)(q - 1); they are reduced once, each product is one
+    times P = sum g K' and Q = sum g K.  P and Q come as packed halves with
+    every lane reduced, as RingLanes.times takes them; each product is one
     RingLanes.times, and the two products are reduced once.
     """
     lanes = elem.ctx.lanes
-    rot_mult, refl_mult = lanes.reduce_halves(rot_mult, refl_mult)
     return RingElement(elem.ctx, *lanes.reduce_halves(
         lanes.times(rot_mult, lanes.u_powers(elem.refl)),
         lanes.times(refl_mult, lanes.u_powers(elem.rot)),
@@ -207,8 +202,8 @@ def check_system_size(n: int, m: int) -> None:
 
 def attack_system(
     params: TwistedParams, target_pk: RingElement
-) -> Tuple[list, tuple, tuple, tuple]:
-    """Equations as F_p rows, the right-hand side, and the two bases.
+) -> Tuple[list, tuple, int, int]:
+    """Equations as F_p rows, the right-hand side, and the basis sizes m * n and n * w.
 
     Unknown (a, i, b, j) is the coefficient of L * h * R for L = t^a x^i
     (a outer, i inner) and R = t^b S_j (b outer, j inner), S_j the j-th
@@ -236,15 +231,15 @@ def attack_system(
             for lo in range(size, 0, -n)
         ])
     columns = [col for a in range(n) for i in range(m) for b in range(n) for col in elems[a + b][i]]
-    return list(zip(*columns)), flatten(target_pk), basis_r1(ctx), basis_a2(ctx)
+    return list(zip(*columns)), flatten(target_pk), m * n, n * w
 
 
 def recover_shared_key(
     params: TwistedParams,
     solution,
     other_pk: RingElement,
-    left_basis: tuple,
-    right_basis: tuple,
+    left_size: int,
+    right_size: int,
 ) -> RingElement:
     """Replay a solved combination against the other party's public element.
 
@@ -252,16 +247,19 @@ def recover_shared_key(
     attack_system each term is t^{a+b} * rot_i(other_pk * S_j^adj), so z
     adds z * t^{a+b}[r] to unknown (i, r, j) of system_rows' solution
     vector, which replay turns into the key.  Raises ValueError unless the
-    solution has one plain int in 0..p-1 per pair of basis elements.
+    sizes are attack_system's m * n and n * w and the solution has one plain
+    int in 0..p-1 per pair of basis elements.
     """
     fld = params.ctx.field
-    n, m, w, width = fld.n, params.ctx.m, params.ctx.m // 2 + 1, len(right_basis)
-    _check_solution(solution, len(left_basis) * width, fld.p, "one per basis product")
+    n, m, w = fld.n, params.ctx.m, params.ctx.m // 2 + 1
+    if (left_size, right_size) != (m * n, n * w):
+        raise ValueError(f"basis sizes {left_size} x {right_size} are not {m * n} x {n * w}")
+    _check_solution(solution, left_size * right_size, fld.p, "one per basis product")
     t_pows = powers(fld, fld.t, 2 * n - 1)
     acc = [0] * (m * n * w)  # system_rows' solution vector, unreduced
     for idx, z in enumerate(solution):
         if z:
-            (a, i), (b, j) = divmod(idx // width, m), divmod(idx % width, w)
+            (a, i), (b, j) = divmod(idx // right_size, m), divmod(idx % right_size, w)
             for r, v in enumerate(t_pows[a + b]):
                 acc[(i * n + r) * w + j] += z * v
     return replay(params, [v % fld.p for v in acc], other_pk)
@@ -350,7 +348,10 @@ def replay(params: TwistedParams, solution, other_pk: RingElement) -> RingElemen
 
 
 def _replay(ctx: RingCtx, solution, other_pk: RingElement) -> RingElement:
-    """replay without its checks, for solve's own vector."""
+    """replay without its checks, for solve's own vector.
+
+    The summed multipliers, lanes at most m (p - 1)(q - 1), are reduced once.
+    """
     lanes, pows, n, m, w = ctx.lanes, ctx.twist_pows, ctx.field.n, ctx.m, ctx.m // 2 + 1
     rot_mult = refl_mult = 0
     for j in range(w):
@@ -360,7 +361,7 @@ def _replay(ctx: RingCtx, solution, other_pk: RingElement) -> RingElement:
             for e in orbit(m, j):
                 rot_mult += lanes.rotate(g[0], -e)
                 refl_mult += lanes.rotate(lanes.scale(g, pows[-e]), e)
-    return _sandwich(other_pk, rot_mult, refl_mult)
+    return _sandwich(other_pk, *lanes.reduce_halves(rot_mult, refl_mult))
 
 
 def attack(params: TwistedParams, target_pk: RingElement, other_pk: RingElement) -> RingElement:

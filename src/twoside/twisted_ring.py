@@ -260,49 +260,12 @@ def orbit(m: int, j: int) -> set:
     return {j, (m - j) % m}
 
 
-def _rotation_orbits(m: int) -> list:
-    return [(j,) for j in range(m)]
-
-
-def _symmetric_orbits(m: int) -> list:
-    return [orbit(m, j) for j in range(m // 2 + 1)]
-
-
-def _on_orbit(ctx: RingCtx, k: int, exps, c) -> RingElement:
-    """The element with coefficient c, reduced, at x^e y^k for each e in exps."""
-    n = ctx.field.n
-    flat = [0] * (ctx.m * n)  # half k
-    for e in exps:
-        flat[e * n : e * n + n] = c
-    half = pack(flat, ctx.lanes.bits)
-    return RingElement(ctx, 0, half) if k else RingElement(ctx, half, 0)
-
-
-def _orbit_basis(ctx: RingCtx, k: int, orbits: list) -> Tuple[RingElement, ...]:
-    """t^a * (sum of x^e y^k, e in orbit) for a < n (outer) and each orbit."""
-    fld = ctx.field
-    return tuple(
-        _on_orbit(ctx, k, exps, tp)
-        for tp in powers(fld, fld.t, fld.n)
-        for exps in orbits
-    )
-
-
-def basis_r1(ctx: RingCtx) -> Tuple[RingElement, ...]:
-    """F_p-basis t^a x^j of the commuting rotation subring."""
-    return _orbit_basis(ctx, 0, _rotation_orbits(ctx.m))
-
-
-def basis_a2(ctx: RingCtx) -> Tuple[RingElement, ...]:
-    """Symmetric subspace of the reflection half; the right-factor key space."""
-    return _orbit_basis(ctx, 1, _symmetric_orbits(ctx.m))
-
-
 def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbit_of) -> RingElement:
     """sum over a < n and the orbits of c * t^a * (sum of x^e y^k, e in orbit).
 
-    orbit_of[e] numbers e's orbit as _orbit_basis orders the orbits, and one
-    rng.randrange(p) per (a, orbit), a outer, follows its basis order.  The
+    orbit_of[e] numbers e's orbit by its least exponent j, and one
+    rng.randrange(p) per (a, j), a outer, follows the basis order t^a x^j
+    (k = 0) or t^a S_j (k = 1, S_j = x^j y + x^{m-j} y).  The
     draws are packed once, lane a of slot e holding e's draw for t^a: at
     n = 1 the half.  At n > 1 slot e's coefficient sum_a c_a t^a sums lane a,
     moved to lane 0, times t^a packed on n lanes, for each a: lanes up to
@@ -321,20 +284,19 @@ def _sample_orbits(ctx: RingCtx, rng: Random, k: int, orbit_of) -> RingElement:
 
 
 def sample_r1(ctx: RingCtx, rng: Random) -> RingElement:
-    """Uniform element of the rotation subring, drawn as over basis_r1."""
+    """Uniform element of the rotation subring, one draw per basis element t^a x^j."""
     return _sample_orbits(ctx, rng, 0, range(ctx.m))
 
 
 def sample_a2(ctx: RingCtx, rng: Random) -> RingElement:
-    """Uniform element of the symmetric reflection subspace, drawn as over basis_a2."""
+    """Uniform element of the symmetric reflection subspace, one draw per t^a S_j."""
     return _sample_orbits(ctx, rng, 1, [min(e, ctx.m - e) for e in range(ctx.m)])
 
 
-def sample_element(ctx: RingCtx, rng: Random, full_support: bool = True) -> RingElement:
-    """Random ring element; by default every coefficient is nonzero."""
+def sample_element(ctx: RingCtx, rng: Random) -> RingElement:
+    """Random ring element with every coefficient nonzero."""
     fld = ctx.field
-    lo = 1 if full_support else 0
-    draws = [element_from_index(fld, rng.randrange(lo, fld.order)) for _ in range(ctx.group_size)]
+    draws = [element_from_index(fld, rng.randrange(1, fld.order)) for _ in range(ctx.group_size)]
     return _packed(ctx, list(itertools.chain.from_iterable(draws)))
 
 

@@ -9,9 +9,9 @@ import itertools
 from random import Random
 
 from twoside.digital import INF, W, w_add, w_mul
-from twoside.gf import FieldCtx, make_field_ctx
-from twoside.matrices import SemiringMatrix
-from twoside.twisted_ring import RingCtx, RingElement, basis_a2, basis_r1
+from twoside.gf import FieldCtx, element_from_index, make_field_ctx
+from twoside.matrices import Circulant, SemiringMatrix
+from twoside.twisted_ring import RingCtx, RingElement
 
 # the twisted acceptance grid: (p, extension degree, dihedral m)
 TWISTED_GRID = [(2, 2, 3), (3, 2, 4), (5, 1, 6), (2, 3, 5), (7, 1, 8)]
@@ -92,6 +92,21 @@ def mat_rows(mat):
     return [list(row) for row in mat.rows]
 
 
+def sample_w_values(count, bound, rng: Random, inf_prob):
+    """count values of W: each is INF with probability inf_prob, else one
+    rng.randrange(bound + 1), after one rng.random() per value."""
+    return [INF if rng.random() < inf_prob else rng.randrange(bound + 1) for _ in range(count)]
+
+
+def sample_circulant_with_inf(n, bound, rng: Random, inf_prob) -> Circulant:
+    return Circulant(W, sample_w_values(n, bound, rng, inf_prob))
+
+
+def sample_matrix_with_inf(n, bound, rng: Random, inf_prob) -> SemiringMatrix:
+    flat = sample_w_values(n * n, bound, rng, inf_prob)
+    return SemiringMatrix(W, [flat[r * n : (r + 1) * n] for r in range(n)])
+
+
 def dense_replay(solution, other_pk, pairs, gens):
     """Sum of z_k * (gens[i] @ other_pk @ gens[j]) by dense semiring products.
 
@@ -159,19 +174,50 @@ def ring_one(ctx: RingCtx) -> RingElement:
     return single(ctx, 0, 0)
 
 
-def basis_a1(ctx: RingCtx):
-    """t^a (x^j + x^(m-j)) for a < n (outer) and 0 <= j <= m/2: the symmetric
-    subspace of the rotation half, in the library's basis order."""
-    fld, m = ctx.field, ctx.m
+def orbit_span(ctx: RingCtx, k: int, orbits) -> tuple:
+    """t^a * (sum of x^e y^k over e in the orbit) for a < n (outer) and each orbit."""
+    fld = ctx.field
     out = []
     tp = fld.one
     for _ in range(fld.n):
-        for j in range(m // 2 + 1):
+        for exps in orbits:
             coeffs = [fld.zero] * ctx.group_size
-            coeffs[j] = coeffs[-j % m] = tp
+            for e in exps:
+                coeffs[e + ctx.m * k] = tp
             out.append(RingElement.from_coeffs(ctx, tuple(coeffs)))
         tp = schoolbook_mul(fld, tp, fld.t)
-    return out
+    return tuple(out)
+
+
+def symmetric_orbits(m: int) -> list:
+    """The exponent sets {j, m - j} mod m for 0 <= j <= m/2."""
+    return [{j, -j % m} for j in range(m // 2 + 1)]
+
+
+def basis_r1(ctx: RingCtx) -> tuple:
+    """t^a x^j for a < n (outer) and j < m: an F_p-basis of the rotation
+    subring, the paper's left basis."""
+    return orbit_span(ctx, 0, [{j} for j in range(ctx.m)])
+
+
+def basis_a1(ctx: RingCtx) -> tuple:
+    """t^a (x^j + x^(m-j)) for a < n (outer) and 0 <= j <= m/2: the symmetric
+    subspace of the rotation half."""
+    return orbit_span(ctx, 0, symmetric_orbits(ctx.m))
+
+
+def basis_a2(ctx: RingCtx) -> tuple:
+    """t^a S_j, S_j = x^j y + x^(m-j) y, for a < n (outer) and 0 <= j <= m/2:
+    the symmetric reflection subspace, the right-factor key space and the
+    paper's right basis."""
+    return orbit_span(ctx, 1, symmetric_orbits(ctx.m))
+
+
+def sample_any_element(ctx: RingCtx, rng: Random) -> RingElement:
+    """A ring element whose coefficients may be zero: one rng.randrange(0, p^n) each."""
+    fld = ctx.field
+    draws = [element_from_index(fld, rng.randrange(0, fld.order)) for _ in range(ctx.group_size)]
+    return RingElement.from_coeffs(ctx, tuple(draws))
 
 
 def naive_ring_mul(a: RingElement, b: RingElement) -> RingElement:

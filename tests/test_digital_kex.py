@@ -34,7 +34,6 @@ from twoside.digital_kex import (
     replay,
     run_exchange,
     sample_circulant,
-    sample_matrix,
     shared_key,
     solve,
     transcript_from_json,
@@ -61,6 +60,8 @@ from helpers import (
     mat_rows,
     naive_mat_mul,
     random_digit_tie_pair,
+    sample_circulant_with_inf,
+    sample_matrix_with_inf,
     w_dot,
     zeros,
 )
@@ -99,7 +100,7 @@ def test_keygen_deterministic_per_seed():
 def test_sample_circulant_entries_in_bound():
     c = sample_circulant(5, 50, Random(2))
     assert all(0 <= v <= 50 for v in c.col)
-    c_inf = sample_circulant(200, 50, Random(2), inf_prob=0.5)
+    c_inf = sample_circulant_with_inf(200, 50, Random(2), 0.5)
     assert any(v == INF for v in c_inf.col)
 
 
@@ -141,8 +142,8 @@ def test_exchange_with_infinite_entries_allowed():
     rng = Random(11)
     for _ in range(10):
         params = random_params(3, rng)
-        left = sample_circulant(3, params.entry_bound, rng, inf_prob=0.3)
-        right = sample_circulant(3, params.entry_bound, rng, inf_prob=0.3)
+        left = sample_circulant_with_inf(3, params.entry_bound, rng, 0.3)
+        right = sample_circulant_with_inf(3, params.entry_bound, rng, 0.3)
         alice = keypair_from_circulants(params, left, right)
         bob = keygen(params, rng)
         k_a = shared_key(alice, bob.pk)
@@ -380,7 +381,7 @@ def test_replay_moves_at_most_2n_times(n, monkeypatch):
 def test_recover_shared_key_all_zero_solution(n):
     params = random_params(n, Random(30 + n))
     _, pairs, gens = attack_columns(params)
-    other_pk = sample_circulant(n, 50, Random(n), inf_prob=0.5).expand()
+    other_pk = sample_circulant_with_inf(n, 50, Random(n), 0.5).expand()
     solution = (0,) * (n * n)
     assert recover_shared_key(params, solution, other_pk, pairs, gens) == zeros(W, n)
     assert dense_replay(solution, other_pk, pairs, gens) == zeros(W, n)
@@ -626,10 +627,10 @@ def test_one_pass_decoders_match_entry_by_entry_decoding(data):
 def test_transcript_with_inf_entries_decodes_entry_by_entry_and_attacks(monkeypatch):
     rng = Random(26)
     n, bound = 6, 1000
-    params = DigitalParams(n, sample_matrix(n, bound, rng, inf_prob=0.3), bound)
+    params = DigitalParams(n, sample_matrix_with_inf(n, bound, rng, 0.3), bound)
 
     def keys():
-        circ = [sample_circulant(n, bound, rng, inf_prob=0.3) for _ in range(2)]
+        circ = [sample_circulant_with_inf(n, bound, rng, 0.3) for _ in range(2)]
         return keypair_from_circulants(params, *circ)
 
     alice, bob = keys(), keys()

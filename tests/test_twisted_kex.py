@@ -31,11 +31,9 @@ from twoside.twisted_kex import (
     transcript_from_json,
     transcript_to_json,
 )
-from twoside.gf import element_from_index
+from twoside.gf import element_from_index, make_field_ctx
 from twoside.twisted_ring import (
     RingElement,
-    basis_a2,
-    basis_r1,
     flatten,
     make_ring_ctx,
     sample_element,
@@ -43,11 +41,14 @@ from twoside.twisted_ring import (
 
 from helpers import (
     TWISTED_GRID,
+    basis_a2,
+    basis_r1,
     dense_basis_products,
     dense_twisted_replay,
     make_test_field,
     naive_ring_mul,
     ring_one,
+    sample_any_element,
     single,
 )
 
@@ -131,7 +132,8 @@ def test_exchange_with_sparse_public_element():
     # h with zero divisors still exchanges and attacks fine
     for (p, n, m) in TWISTED_GRID[:3]:
         rng = Random(p + n + m)
-        params = random_params(p, n, m, rng, full_support=False)
+        ctx = make_ring_ctx(make_field_ctx(p, n, rng), m)
+        params = TwistedParams(ctx, sample_any_element(ctx, rng))
         tr = run_exchange(params, rng)
         assert tr.keys_agree
         assert attack(params, tr.alice.pk, tr.bob.pk) == tr.shared_key
@@ -162,12 +164,11 @@ def test_attack_on_identity_alice():
 def test_attack_system_shape():
     for (p, n, m) in TWISTED_GRID:
         params = fixed_params(p, n, m)
-        rows, rhs, left_basis, right_basis = attack_system(params, params.h)
+        rows, rhs, left_size, right_size = attack_system(params, params.h)
         assert len(rows) == n * 2 * m  # equations
         assert len(rows[0]) == (n * m) * (n * (m // 2 + 1))  # unknowns
         assert len(rhs) == n * 2 * m
-        assert len(left_basis) == n * m
-        assert len(right_basis) == n * (m // 2 + 1)
+        assert (left_size, right_size) == (m * n, n * (m // 2 + 1))
 
 
 def test_any_solution_recovers_the_key():
@@ -175,17 +176,17 @@ def test_any_solution_recovers_the_key():
     params = fixed_params(2, 2, 3)
     rng = Random(11)
     tr = run_exchange(params, rng)
-    rows, rhs, left_basis, right_basis = attack_system(params, tr.alice.pk)
+    rows, rhs, left_size, right_size = attack_system(params, tr.alice.pk)
     p = params.ctx.field.p
     solution, kernel, _ = gauss_solve_full(rows, rhs, p)
     assert solution is not None and kernel
-    recovered = recover_shared_key(params, solution, tr.bob.pk, left_basis, right_basis)
+    recovered = recover_shared_key(params, solution, tr.bob.pk, left_size, right_size)
     assert recovered == tr.shared_key
     for vec in kernel[:10]:
         shifted = [(a + b) % p for a, b in zip(solution, vec)]
         assert shifted != solution
         assert (
-            recover_shared_key(params, shifted, tr.bob.pk, left_basis, right_basis)
+            recover_shared_key(params, shifted, tr.bob.pk, left_size, right_size)
             == tr.shared_key
         )
 
@@ -196,7 +197,7 @@ def test_attack_ignores_honest_coefficient_structure():
     params = fixed_params(3, 2, 4)
     rng = Random(12)
     tr = run_exchange(params, rng)
-    rows, rhs, left_basis, right_basis = attack_system(params, tr.alice.pk)
+    rows, rhs, left_size, right_size = attack_system(params, tr.alice.pk)
     p = params.ctx.field.p
     baseline = gauss_solve(rows, rhs, p)
     perm = list(range(len(rows[0])))
@@ -208,11 +209,11 @@ def test_attack_ignores_honest_coefficient_structure():
     for pos, j in enumerate(perm):
         unpermuted[j] = permuted[pos]
     assert (
-        recover_shared_key(params, unpermuted, tr.bob.pk, left_basis, right_basis)
+        recover_shared_key(params, unpermuted, tr.bob.pk, left_size, right_size)
         == tr.shared_key
     )
     assert (
-        recover_shared_key(params, baseline, tr.bob.pk, left_basis, right_basis)
+        recover_shared_key(params, baseline, tr.bob.pk, left_size, right_size)
         == tr.shared_key
     )
 
@@ -485,10 +486,9 @@ def test_recover_shared_key_rejects_solutions_of_another_length(extra):
     # wrong key, and 54 raised IndexError
     params = fixed_params(3, 2, 4)
     tr = run_exchange(params, Random(1))
-    left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
-    solution = [1] * (len(left_basis) * len(right_basis) + extra)
+    solution = [1] * (8 * 6 + extra)
     with pytest.raises(ValueError, match="one per basis product"):
-        recover_shared_key(params, solution, tr.bob.pk, left_basis, right_basis)
+        recover_shared_key(params, solution, tr.bob.pk, 8, 6)
 
 
 @pytest.mark.parametrize("first", [4, -2, True, 1.0])
@@ -496,11 +496,21 @@ def test_recover_shared_key_rejects_values_outside_zero_to_p(first):
     # (3, 2, 4): a first value of 4, -2 or True once returned the key of 1
     params = fixed_params(3, 2, 4)
     tr = run_exchange(params, Random(1))
-    left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
-    solution = [1] * (len(left_basis) * len(right_basis))
+    solution = [1] * (8 * 6)
     solution[0] = first
     with pytest.raises(ValueError, match="plain ints in 0..2"):
-        recover_shared_key(params, solution, tr.bob.pk, left_basis, right_basis)
+        recover_shared_key(params, solution, tr.bob.pk, 8, 6)
+
+
+@pytest.mark.parametrize("sizes", [(6, 8), (4, 12), (8, 5), (16, 6)])
+def test_recover_shared_key_rejects_sizes_other_than_the_bases(sizes):
+    # (3, 2, 4) has bases of 8 and 6 elements; a right size of 8 with a left
+    # size of 6 would index 48 products under another (i, j) split
+    params = fixed_params(3, 2, 4)
+    tr = run_exchange(params, Random(1))
+    solution = [1] * (sizes[0] * sizes[1])
+    with pytest.raises(ValueError, match="basis sizes .* are not 8 x 6"):
+        recover_shared_key(params, solution, tr.bob.pk, *sizes)
 
 
 def test_p2_products_never_reduce_through_unpack(monkeypatch):
@@ -582,7 +592,8 @@ def assert_attack_system_is_dense(params, target):
     left_basis, right_basis, products = dense_basis_products(params)
     columns = [flatten(prod) for prod in products]
     rows = [tuple(col[r] for col in columns) for r in range(len(columns[0]))]
-    assert attack_system(params, target) == (rows, flatten(target), left_basis, right_basis)
+    sizes = (len(left_basis), len(right_basis))
+    assert attack_system(params, target) == (rows, flatten(target), *sizes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -611,7 +622,7 @@ def test_recover_shared_key_matches_dense_replay(data):
     p = ctx.field.p
     solution = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
     assert recover_shared_key(
-        params, solution, other_pk, left_basis, right_basis
+        params, solution, other_pk, len(left_basis), len(right_basis)
     ) == dense_twisted_replay(params, solution, other_pk, left_basis, right_basis)
 
 
@@ -621,7 +632,8 @@ def test_recover_shared_key_all_zero_solution(p, n, m):
     left_basis, right_basis = basis_r1(params.ctx), basis_a2(params.ctx)
     solution = [0] * (len(left_basis) * len(right_basis))
     zero = RingElement.zero(params.ctx)
-    assert recover_shared_key(params, solution, params.h, left_basis, right_basis) == zero
+    sizes = (len(left_basis), len(right_basis))
+    assert recover_shared_key(params, solution, params.h, *sizes) == zero
     assert dense_twisted_replay(params, solution, params.h, left_basis, right_basis) == zero
 
 
@@ -637,7 +649,7 @@ def test_solve_agrees_with_paper_system(data):
     alice, bob = keygen(params, rng), keygen(params, rng)
     kind = data.draw(st.sampled_from(["honest", "full", "sparse"]), label="target")
     target = alice.pk if kind == "honest" else draw_element(data, ctx, kind)
-    rows, rhs, left_basis, right_basis = attack_system(params, target)
+    rows, rhs, left_size, right_size = attack_system(params, target)
     oracle = gauss_solve(rows, rhs, ctx.field.p)
     z = solve(params, system_rows(params), target)
     assert (z is None) == (oracle is None)
@@ -650,10 +662,10 @@ def test_solve_agrees_with_paper_system(data):
     for i in range(m):
         for j in range(w):
             c = tuple(z[(i * n + a) * w + j] for a in range(n))
-            span = span + products[i * len(right_basis) + j].scale(c)
+            span = span + products[i * right_size + j].scale(c)
     assert span == target
     key = replay(params, z, bob.pk)
-    assert key == recover_shared_key(params, oracle, bob.pk, left_basis, right_basis)
+    assert key == recover_shared_key(params, oracle, bob.pk, left_size, right_size)
     if kind == "honest":
         assert key == shared_key(alice, bob.pk)
 

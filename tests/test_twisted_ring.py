@@ -12,8 +12,6 @@ from twoside import gf
 from twoside.gf import element_from_index, f_mul, f_pow, pack, unpack
 from twoside.twisted_ring import (
     RingElement,
-    basis_a2,
-    basis_r1,
     element_from_coeffs,
     element_to_coeffs,
     flatten,
@@ -28,11 +26,14 @@ from twoside.twisted_ring import (
 from helpers import (
     TWISTED_GRID,
     basis_a1,
+    basis_a2,
+    basis_r1,
     cocycle,
     dihedral_mul,
     make_test_field,
     naive_ring_mul,
     ring_one,
+    sample_any_element,
     sample_span,
     schoolbook_pow,
     single,
@@ -154,7 +155,7 @@ def test_ring_identity():
         rng = Random(5)
         one = ring_one(ctx)
         for _ in range(10):
-            a = sample_element(ctx, rng, full_support=False)
+            a = sample_any_element(ctx, rng)
             assert a * one == a
             assert one * a == a
             assert a + RingElement.zero(ctx) == a
@@ -166,8 +167,8 @@ def test_ring_mul_matches_naive_table_oracle():
         ctx = ring(p, n, m)
         rng = Random(p * 100 + n * 10 + m)
         for _ in range(15):
-            a = sample_element(ctx, rng, full_support=False)
-            b = sample_element(ctx, rng, full_support=False)
+            a = sample_any_element(ctx, rng)
+            b = sample_any_element(ctx, rng)
             assert a * b == naive_ring_mul(a, b)
 
 
@@ -252,9 +253,9 @@ def test_ring_associativity_and_distributivity():
         ctx = ring(p, n, m)
         rng = Random(p + n + m)
         for _ in range(25):
-            a = sample_element(ctx, rng, full_support=False)
-            b = sample_element(ctx, rng, full_support=False)
-            c = sample_element(ctx, rng, full_support=False)
+            a = sample_any_element(ctx, rng)
+            b = sample_any_element(ctx, rng)
+            c = sample_any_element(ctx, rng)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert (a + b) * c == a * c + b * c
@@ -416,7 +417,7 @@ def test_distinct_seeds_give_distinct_samples():
 
 def test_full_support_sampling():
     ctx = ring(5, 1, 6)
-    a = sample_element(ctx, Random(4), full_support=True)
+    a = sample_element(ctx, Random(4))
     assert all(c != ctx.field.zero for c in a.coeffs)
 
 
@@ -427,7 +428,7 @@ def test_flatten_round_trip():
     for (p, n, m) in TWISTED_GRID:
         ctx = ring(p, n, m)
         rng = Random(29)
-        a = sample_element(ctx, rng, full_support=False)
+        a = sample_any_element(ctx, rng)
         vec = flatten(a)
         assert len(vec) == 2 * m * n
         assert RingElement.from_coeffs(ctx, tuple(zip(*[iter(vec)] * n))) == a
@@ -456,7 +457,7 @@ def test_coeffs_and_halves_round_trip_at_every_lane_width(p, n, m, bits, data):
 
 def test_element_json_round_trip():
     ctx = ring(2, 3, 5)
-    a = sample_element(ctx, Random(31), full_support=False)
+    a = sample_any_element(ctx, Random(31))
     assert element_from_coeffs(ctx, element_to_coeffs(a)) == a
 
 
