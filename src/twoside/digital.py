@@ -30,30 +30,31 @@ MAX_FINITE = 2**64 - 1
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def digit_sum(a):
-    """Base-10 digit sum; infinity maps to a sentinel above every finite sum."""
-    if a == INF:
-        return INF
-    if a < 0:
-        raise ValueError(f"not a value of W: {a!r}")
-    return sum(str(a).encode().translate(_DIGITS))
-
-
 # Bounded so long attack campaigns do not grow it without limit.  One digital
-# attack touches about 3 n^2 distinct values, which fits for n <= 32.
+# attack touches about 3 n^2 distinct values, which fits for n <= 32.  A bool
+# never hits an int's entry: the cache keys an exact int by itself, a bool by
+# the tuple of its arguments.
 @lru_cache(maxsize=4096)
 def order_key(v):
-    """W's order as one int: digit_sum(v) << 64 | v, and INF for INF.
+    """W's order as one int: v's base-10 digit sum << 64 | v, INF for INF.
 
     A finite value is below 2^64, so the keys sort exactly as (digit sum,
-    value).  This is the one place the order is written; every comparison
-    of W goes through it.  A value outside 0..MAX_FINITE raises ValueError.
+    value).  This is the one place the order and the digit sum are written;
+    every comparison of W goes through it.  Anything but INF or a plain int
+    in 0..MAX_FINITE raises ValueError, and is not cached.
     """
     if v == INF:
         return INF
-    if not 0 <= v <= MAX_FINITE:
+    if type(v) is not int or not 0 <= v <= MAX_FINITE:
         raise ValueError(f"not a value of W: {v!r}")
-    return digit_sum(v) << 64 | v
+    return sum(str(v).encode().translate(_DIGITS)) << 64 | v
+
+
+def digit_sum(a):
+    """Base-10 digit sum of a value of W, read from order_key; infinity maps to
+    a sentinel above every finite sum, and a value outside W raises ValueError."""
+    key = order_key(a)
+    return key if key == INF else key >> 64
 
 
 def w_add(a, b):
@@ -96,9 +97,10 @@ def value_from_json(obj):
     raise ValueError(f"not a semiring value: {obj!r}")
 
 
-def values_from_json(flat: list) -> list:
+def values_from_json(flat):
     """[value_from_json(v) for v in flat], in one type and range check when
-    all are plain ints, else entry by entry: the error names the first bad one."""
+    all are plain ints (then flat itself), else entry by entry: the error
+    names the first bad one."""
     if set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) <= MAX_FINITE:
         return flat
     return [value_from_json(v) for v in flat]

@@ -67,12 +67,11 @@ class DigitalParams:
 
 
 def sample_circulant(n: int, bound: int, rng: Random) -> Circulant:
-    return Circulant(W, tuple(rng.randrange(bound + 1) for _ in range(n)))
+    return Circulant(W, [rng.randrange(bound + 1) for _ in range(n)])
 
 
 def sample_matrix(n: int, bound: int, rng: Random) -> SemiringMatrix:
-    rows = tuple(tuple(rng.randrange(bound + 1) for _ in range(n)) for _ in range(n))
-    return SemiringMatrix(W, rows)
+    return SemiringMatrix.from_flat(W, [rng.randrange(bound + 1) for _ in range(n * n)])
 
 
 def random_params(
@@ -120,15 +119,9 @@ def run_exchange(params: DigitalParams, rng: Random) -> Transcript:
 # all n^2 entries, is then a few int operations.  solve's masks hold one bit
 # per entry, four copies of each on a doubled grid: a rotation is one shift.
 
-def _lane_constants(n: int) -> Tuple[int, int]:
-    """ONES (1 in each of the n*n lanes) and GUARD (bit 15 of each lane)."""
-    ones = ((1 << 16 * n * n) - 1) // 0xFFFF
-    return ones, ones << 15
-
-
 def _max_min(zs, copies, consts: Tuple[int, int]) -> int:
     """Packed ranks of sum_k z_k * H_k: lanewise max over k of min(z_k, H_k),
-    with consts = _lane_constants(n)."""
+    with consts = _grid(n)[-1]."""
     ones, guard = consts
     acc = 0
     for z, h in zip(zs, copies):
@@ -143,8 +136,7 @@ def _max_min(zs, copies, consts: Tuple[int, int]) -> int:
 
 def _matrix(packed: int, values: list, n: int) -> SemiringMatrix:
     """The n x n matrix over W whose ranks are packed into `packed`."""
-    flat = [values[a] for a in unpack(packed, n * n, 16)]
-    return SemiringMatrix(W, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
+    return SemiringMatrix.from_flat(W, map(values.__getitem__, unpack(packed, n * n, 16)))
 
 
 def attack_columns(params: DigitalParams) -> Tuple[tuple, tuple, tuple]:
@@ -178,7 +170,7 @@ def _chain(*groups) -> Tuple[list, dict]:
     values = sorted({0, INF}.union(*groups), key=order_key)
     if len(values) > 1 << 15:
         raise ValueError(f"{len(values)} distinct values: ranks overflow 15-bit lanes")
-    return values, {v: r for r, v in enumerate(values)}
+    return values, dict(zip(values, range(len(values))))
 
 
 def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringMatrix:
@@ -194,16 +186,16 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
     if left.sr is not W or x.sr is not W or right.sr is not W:
         raise ValueError("semiring mismatch")
     n = x.n
-    if left.n != n:
-        raise ValueError(f"dimension mismatch: {left.n} vs {n}")
-    if right.n != n:
-        raise ValueError(f"dimension mismatch: {n} vs {right.n}")
+    for a, b in ((left.n, n), (n, right.n)):
+        if a != b:
+            raise ValueError(f"dimension mismatch: {a} vs {b}")
     flat = x.flat()
     values, rank = _chain(left.col, right.col, flat)
-    packed = pack([rank[v] for v in flat], 16)
-    move, consts = mover(n, n, 16), _lane_constants(n)
-    y = _max_min([rank[v] for v in left.col], [move(packed, i) for i in range(n)], consts)
-    acc = _max_min([rank[v] for v in right.col], [move(y, 0, j) for j in range(n)], consts)
+    at = rank.__getitem__
+    packed = pack(list(map(at, flat)), 16)
+    move, consts = mover(n, n, 16), _grid(n)[-1]
+    y = _max_min(map(at, left.col), [move(packed, i) for i in range(n)], consts)
+    acc = _max_min(map(at, right.col), [move(y, 0, j) for j in range(n)], consts)
     return _matrix(acc, values, n)
 
 
@@ -211,12 +203,15 @@ def _sandwich(left: Circulant, x: SemiringMatrix, right: Circulant) -> SemiringM
 def _grid(n: int) -> tuple:
     """solve's grid: the window bit i * 2n + j of copy (i, j) and the shift
     (-r % n) * 2n + c of position (r, c), row-major; M[r][c] = M'[-r][c] at
-    its shift plus 0, n, 2n^2 and 2n^2 + n; and the window's mask."""
+    its shift plus 0, n, 2n^2 and 2n^2 + n; and the window's mask.  Last,
+    the 16-bit lane constants of _max_min: ONES (1 in each of the n*n
+    lanes) and GUARD (bit 15 of each lane)."""
     w = 2 * n
     window = ((1 << n) - 1) * (((1 << w * n) - 1) // ((1 << w) - 1))
+    ones = ((1 << 16 * n * n) - 1) // 0xFFFF
     return (tuple(a * w + b for a in range(n) for b in range(n)),
             tuple(-r % n * w + c for r in range(n) for c in range(n)),
-            (1 | 1 << n) * (1 | 1 << n * w), window)
+            (1 | 1 << n) * (1 | 1 << n * w), window, (ones, ones << 15))
 
 
 def solve(params: DigitalParams, target_pk: SemiringMatrix):
@@ -243,10 +238,10 @@ def solve(params: DigitalParams, target_pk: SemiringMatrix):
     _require_size(n, target_pk.n, "matrix")
     size, target, matrix = n * n, target_pk.flat(), params.matrix.flat()
     values, rank = _chain(target, matrix)
-    ys, ms = [rank[v] for v in target], [rank[v] for v in matrix]
+    ys, ms = list(map(rank.__getitem__, target)), list(map(rank.__getitem__, matrix))
     by_y = sorted(range(size), key=ys.__getitem__)
     by_m = sorted(range(size), key=ms.__getitem__)
-    strided, shifts, quad, free = _grid(n)
+    strided, shifts, quad, free, _ = _grid(n)
 
     gt = (1 << 4 * size) - 1  # "M' > y"; free: the copies with no z yet
     steps = []  # (y, the copies whose z is y), y ascending
@@ -309,10 +304,10 @@ def replay(
         raise ValueError(f"solution has {len(solution)} values, not {n * n}")
     other = other_pk.flat()
     values, rank = _chain(solution, other)
-    move, consts = mover(n, n, 16), _lane_constants(n)
-    x = pack([rank[v] for v in other], 16)
+    move, consts = mover(n, n, 16), _grid(n)[-1]
+    x = pack(list(map(rank.__getitem__, other)), 16)
     by_j = [move(x, 0, j) for j in range(n)]
-    zs = [rank[z] for z in solution]
+    zs = list(map(rank.__getitem__, solution))
     rows = [move(_max_min(zs[i * n : (i + 1) * n], by_j, consts), i) for i in range(n)]
     return _matrix(_max_min([len(values) - 1] * n, rows, consts), values, n)
 
@@ -373,23 +368,20 @@ def params_from_json(obj: dict) -> DigitalParams:
     return DigitalParams(n, matrix, bound)
 
 
-def _matrix_from_json(params: DigitalParams, obj: dict) -> SemiringMatrix:
-    mat = matrix_from_json(obj, W, values_from_json)
-    _require_size(params.n, mat.n, "matrix")
-    return mat
-
-
-def _circulant_from_json(params: DigitalParams, obj: dict) -> Circulant:
-    circ = circulant_from_json(obj, W, values_from_json)
-    _require_size(params.n, circ.n, "circulant")
-    return circ
+def _reader(parse, what: str):
+    """The Codec reader of parse(obj, W, values_from_json), n x n for params.n."""
+    def read(params: DigitalParams, obj: dict):
+        x = parse(obj, W, values_from_json)
+        _require_size(params.n, x.n, what)
+        return x
+    return read
 
 
 # every matrix and circulant in a transcript must be n x n
 CODEC = Codec(
     "digital", params_to_json, params_from_json,
-    lambda mat: matrix_to_json(mat, value_to_json), _matrix_from_json,
-    lambda circ: circulant_to_json(circ, value_to_json), _circulant_from_json,
+    lambda mat: matrix_to_json(mat, value_to_json), _reader(matrix_from_json, "matrix"),
+    lambda circ: circulant_to_json(circ, value_to_json), _reader(circulant_from_json, "circulant"),
 )
 
 

@@ -564,6 +564,10 @@ def unpack(x: int, count: int, bits: int) -> Sequence[int]:
     return lanes
 
 
+# every shape moves the same lanes each time: build them once; 64 layouts hold
+# a digital one per n up to 32 and a twisted ring's and system's per shape (10
+# for the five of twisted-grid)
+@lru_cache(maxsize=64)
 def mover(rows: int, cols: int, bits: int):
     """move(x, r, c=0): the rows x cols grid x, entry (i, j) in lane
     i * cols + j of `bits` bits, with entry (i, j) taken from x[i - r][j + c],

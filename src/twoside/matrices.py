@@ -3,27 +3,47 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from math import isqrt
 
 from .semiring import Semiring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SemiringMatrix:
-    """Immutable n x n matrix; `rows` is a tuple of row tuples."""
+    """Immutable n x n matrix, its n^2 entries stored once as the row-major
+    tuple flat() returns; `rows` is a view of them."""
 
-    sr: Semiring = field(repr=False)
-    rows: tuple
+    sr: Semiring
+    _flat: tuple
+    n: int = field(compare=False)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+    def __init__(self, sr: Semiring, rows):
+        rows = [tuple(r) for r in rows]
+        if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and non-empty")
+        self.__dict__.update(sr=sr, _flat=tuple(chain.from_iterable(rows)), n=len(rows))
+
+    @classmethod
+    def from_flat(cls, sr: Semiring, entries) -> "SemiringMatrix":
+        """The matrix whose flat() is tuple(entries), read row-major; raises
+        ValueError unless their count is a square above 0."""
+        entries = tuple(entries)
+        n = isqrt(len(entries))
+        if n == 0 or n * n != len(entries):
+            raise ValueError("matrix must be square and non-empty")
+        mat = object.__new__(cls)
+        mat.__dict__.update(sr=sr, _flat=entries, n=n)  # frozen: bypass __setattr__
+        return mat
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """The n row tuples."""
+        return tuple(zip(*[iter(self._flat)] * self.n))
+
+    def flat(self) -> tuple:
+        """The stored row-major entry tuple of length n*n, not a copy."""
+        return self._flat
 
     def _check(self, other: "SemiringMatrix") -> None:
         if self.sr != other.sr:
@@ -33,14 +53,7 @@ class SemiringMatrix:
 
     def __add__(self, other: "SemiringMatrix") -> "SemiringMatrix":
         self._check(other)
-        add = self.sr.add
-        return SemiringMatrix(
-            self.sr,
-            tuple(
-                tuple(add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return SemiringMatrix.from_flat(self.sr, map(self.sr.add, self._flat, other._flat))
 
     def __matmul__(self, other: "SemiringMatrix") -> "SemiringMatrix":
         self._check(other)
@@ -60,13 +73,7 @@ class SemiringMatrix:
     def scale(self, z) -> "SemiringMatrix":
         """Entrywise multiplication by z; equals (z * identity) @ self."""
         mul = self.sr.mul
-        return SemiringMatrix(
-            self.sr, tuple(tuple(mul(z, a) for a in row) for row in self.rows)
-        )
-
-    def flat(self) -> tuple:
-        """Row-major entry tuple of length n*n."""
-        return tuple(a for row in self.rows for a in row)
+        return SemiringMatrix.from_flat(self.sr, [mul(z, a) for a in self._flat])
 
     def __repr__(self) -> str:
         return f"SemiringMatrix({[list(r) for r in self.rows]!r})"
@@ -80,9 +87,8 @@ class Circulant:
     col: tuple
 
     def __post_init__(self):
-        col = tuple(self.col)
-        object.__setattr__(self, "col", col)
-        if not col:
+        object.__setattr__(self, "col", tuple(self.col))
+        if not self.col:
             raise ValueError("circulant needs at least one entry")
 
     @property
@@ -92,9 +98,7 @@ class Circulant:
     def expand(self) -> SemiringMatrix:
         """Dense form: entry (i, j) is col[(i - j) mod n]."""
         n, c = self.n, self.col
-        return SemiringMatrix(
-            self.sr, tuple(tuple(c[(i - j) % n] for j in range(n)) for i in range(n))
-        )
+        return SemiringMatrix.from_flat(self.sr, [c[(i - j) % n] for i in range(n) for j in range(n)])
 
     def __repr__(self) -> str:
         return f"Circulant({list(self.col)!r})"
@@ -107,11 +111,9 @@ def circulant_generators(sr: Semiring, n: int) -> tuple:
     identity at position i and the additive identity elsewhere; every
     circulant is the sum of its entries acting on these by scale().
     """
-    gens = []
-    for i in range(n):
-        col = tuple(sr.one if j == i else sr.zero for j in range(n))
-        gens.append(Circulant(sr, col).expand())
-    return tuple(gens)
+    return tuple(
+        Circulant(sr, [sr.one if j == i else sr.zero for j in range(n)]).expand() for i in range(n)
+    )
 
 
 def flatten_two_sided(m: SemiringMatrix, gens_left, gens_right):
@@ -130,7 +132,8 @@ def flatten_two_sided(m: SemiringMatrix, gens_left, gens_right):
 
 
 def matrix_to_json(mat: SemiringMatrix, encode) -> dict:
-    return {"n": mat.n, "rows": [[encode(v) for v in row] for row in mat.rows]}
+    n, flat = mat.n, [encode(v) for v in mat.flat()]
+    return {"n": n, "rows": [flat[r * n : (r + 1) * n] for r in range(n)]}
 
 
 def matrix_from_json(obj: dict, sr: Semiring, decode) -> SemiringMatrix:
@@ -140,8 +143,7 @@ def matrix_from_json(obj: dict, sr: Semiring, decode) -> SemiringMatrix:
     rows = obj["rows"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix JSON shape does not match its declared size")
-    flat = decode([v for row in rows for v in row])
-    return SemiringMatrix(sr, [flat[r * n : (r + 1) * n] for r in range(n)])
+    return SemiringMatrix.from_flat(sr, decode(tuple(chain.from_iterable(rows))))
 
 
 def circulant_to_json(circ: Circulant, encode) -> dict:

@@ -82,12 +82,22 @@ def test_order_key_pinned():
     assert order_key(INF) == INF
 
 
-@pytest.mark.parametrize("v", [-1, MAX_FINITE + 1, -(2**70), 2**80])
+NOT_IN_W = [True, False, 2.5, "7"]
+
+
+@pytest.mark.parametrize("v", [-1, MAX_FINITE + 1, -(2**70), 2**80, *NOT_IN_W])
 def test_order_key_rejects_values_outside_w(v):
+    order_key(0), order_key(1), order_key(2)  # a bool must not hit an int's entry
     before = order_key.cache_info().currsize
     with pytest.raises(ValueError):
         order_key(v)
     assert order_key.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("v", NOT_IN_W)
+def test_digit_sum_rejects_values_outside_w(v):
+    with pytest.raises(ValueError):
+        digit_sum(v)
 
 
 def test_digit_sum_positive_for_positive_values():

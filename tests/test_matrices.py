@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside.digital import INF, W, value_to_json, values_from_json
+from twoside.digital_kex import MAX_N
 from twoside.matrices import (
     Circulant,
     SemiringMatrix,
@@ -193,13 +194,52 @@ def test_flatten_two_sided_matches_direct_products():
 # -- validation and serialization --------------------------------------------------
 
 
+SHAPE = "matrix must be square and non-empty"
+JSON_SHAPE = "matrix JSON shape does not match its declared size"
+
+
 def test_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=SHAPE):
         SemiringMatrix(W, [[1, 2], [3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=SHAPE):
         SemiringMatrix(W, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=SHAPE):
         SemiringMatrix(W, [[1, 2, 3], [4, 5, 6]])
+    for entries in ((), (1, 2), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match=SHAPE):
+            SemiringMatrix.from_flat(W, entries)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 2, "rows": [[1, 2], [3]]}, JSON_SHAPE),  # ragged
+        ({"n": 2, "rows": [[1, 2, 3], [4, 5, 6]]}, JSON_SHAPE),  # not square
+        ({"n": 3, "rows": [[1, 2], [3, 4]]}, JSON_SHAPE),  # not its declared size
+        ({"n": 0, "rows": []}, SHAPE),  # empty
+    ],
+)
+def test_matrix_json_shape_validation(obj, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json(obj, W, values_from_json)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, MAX_N), st.data())
+def test_flat_format(n, data):
+    # the entries, row-major, from a small pool so that 32 x 32 draws stay cheap
+    pool = data.draw(st.lists(w_values, min_size=1, max_size=8))
+    flat = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n)))
+    rows = [flat[r * n : (r + 1) * n] for r in range(n)]
+    by_rows, by_flat = SemiringMatrix(W, rows), SemiringMatrix.from_flat(W, flat)
+    assert by_rows == by_flat and hash(by_rows) == hash(by_flat)
+    assert by_rows.n == by_flat.n == n
+    assert by_rows.rows == by_flat.rows == tuple(rows)
+    assert by_flat.flat() is flat  # stored once, never copied
+    assert by_rows.flat() is by_rows.flat() and by_rows.flat() == flat
+    obj = matrix_to_json(by_flat, value_to_json)
+    assert obj["n"] == n and len(obj["rows"]) == n
+    assert matrix_from_json(obj, W, values_from_json) == by_flat
 
 
 def test_dimension_mismatch():
